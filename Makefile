@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
 
 all: build
 
@@ -29,6 +29,14 @@ race-sweep:
 # target mutates beyond it).  CI runs this step too.
 fuzz-decoder:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAdj$$' -fuzztime 30s ./internal/graph
+
+# 30-second differential hunt on the cache model: random operation streams
+# through the recency-ordered Cache and the timestamp-LRU reference kept in
+# its tests must agree at every step (the committed corpus under
+# internal/cache/testdata/fuzz replays in plain `go test`).  CI runs this
+# step too.
+fuzz-cache:
+	$(GO) test -run '^$$' -fuzz 'FuzzCacheMatchesReference$$' -fuzztime 30s ./internal/cache
 
 # The docs gate: the public facade, the scheduler package, the observability
 # package, the sweep service and the fault-injection harness must carry a

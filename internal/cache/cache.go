@@ -49,6 +49,9 @@ func (c Config) Validate() error {
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache: Assoc must be positive, got %d", c.Assoc)
 	}
+	if c.Assoc > maxAssoc {
+		return fmt.Errorf("cache: Assoc must be at most %d, got %d", maxAssoc, c.Assoc)
+	}
 	if c.SizeBytes < c.LineBytes*int64(c.Assoc) {
 		return fmt.Errorf("cache: SizeBytes %d smaller than one set (%d)", c.SizeBytes, c.LineBytes*int64(c.Assoc))
 	}
@@ -88,39 +91,58 @@ func (s *Stats) Add(other Stats) {
 	s.Writebacks += other.Writebacks
 }
 
-// Per-way state bits held in Cache.state.
+// Per-way state bits held in a set's state row.
 const (
-	lineValid uint8 = 1 << iota
+	lineValid uint16 = 1 << iota
 	lineDirty
 )
+
+// maxAssoc is the largest associativity a Cache supports: a set's recency
+// order stores way indices as uint16.
+const maxAssoc = 1 << 16
 
 // Cache is a set-associative cache with true-LRU replacement and a
 // write-back, write-allocate policy.
 //
-// Way metadata is stored structure-of-arrays in flat set-major slices (set i
-// occupies index range [i*assoc, (i+1)*assoc)): tags, LRU use counters and
-// packed valid/dirty bits live in separate arrays so the hit scan — the
-// single hottest loop in the simulator — streams only the 8-byte tags
-// instead of dragging padded per-way structs through the host cache.
-// Line/set arithmetic uses shifts and masks whenever the line size and set
-// count are powers of two — every access otherwise pays two hardware
-// integer divisions.  Neither layout nor arithmetic affects classification:
-// the modelled geometry and LRU behaviour are identical.
+// Replacement state is a per-set recency order, not per-way timestamps.
+// For each set, meta holds a row of 2*assoc uint16s: the set's way indices
+// from MRU to LRU, then each way's valid/dirty bits, so a 20-way set's
+// whole replacement state is 80 bytes.  Invalid ways always sit at the tail
+// of the order.  An access walks the order from MRU to LRU, comparing each
+// way's tag and shifting it back one position as it goes: a hit then only
+// puts its way in front, and a miss has rotated the LRU way (invalid
+// whenever any way is) out of the tail into the front as the victim,
+// evicting only if it was valid.  Invalidate moves the freed way to the
+// tail; Flush clears every row.  A row of zeros (no permutation of two or
+// more ways) marks a set never filled: New writes no per-set metadata, and
+// a set's order is set up on its first cold fill, so construction faults in
+// no pages a run never touches.
+//
+// Tags live in a flat set-major array (set i occupies [i*assoc,
+// (i+1)*assoc)), and a flat index set*assoc+way — a slot — identifies a
+// resident line until it is evicted (see LastSlot), which the hierarchy's
+// holder masks and write-back back-pointers rely on.  Line/set arithmetic
+// uses shifts and masks whenever the line size and set count are powers of
+// two — every access otherwise pays two hardware integer divisions.
+//
+// Neither layout nor arithmetic affects classification: every result and
+// statistic is identical to a timestamp LRU that fills the lowest-indexed
+// invalid way (the tests keep one as an oracle).  Only which invalid way a
+// fill picks can differ, and that is visible only through LastSlot.
 type Cache struct {
 	cfg Config
 	// tags[i] is the line base address held by flat way i (valid only when
-	// state[i]&lineValid is set; invalid ways may hold stale tags).
+	// its state has lineValid set; invalid ways may hold stale tags).
 	tags []uint64
-	// use is the per-way LRU timestamp: the cache clock at last touch.
-	use []uint64
-	// state packs the valid and dirty bits per way.
-	state   []uint8
+	// meta[2*s*assoc:][:assoc] is set s's recency order and the next assoc
+	// entries its per-way state bits.
+	meta    []uint16
 	assoc   int
 	numSets int
 	setMask uint64
 	clock   uint64
 	// Per-access counters.  The access count itself is derived from the
-	// clock (which advances exactly once per Access) minus the clock value
+	// clock (which advances exactly once per Access or writeHit) minus the clock value
 	// at the last stats reset, and Hits/Reads are derived in Stats()
 	// (Hits = Accesses-Misses, Reads = Accesses-Writes) — so a hit bumps
 	// nothing beyond the clock.
@@ -137,11 +159,12 @@ type Cache struct {
 	linePow2  bool
 	lineShift uint
 	lineMask  uint64
-	// lastSlot is the flat way index (set*assoc + way) touched by the most
-	// recent Access: the hit way, or the filled victim on a miss.  Exposed
-	// via LastSlot so the hierarchy can key per-line bookkeeping off the
-	// slot a line occupies without an extra lookup.
-	lastSlot int
+	// lastSet and lastWay locate the way touched by the most recent
+	// Access: the hit way, or the filled way on a miss.  LastSlot and
+	// lastRef expose them so the hierarchy can key per-line bookkeeping off
+	// the slot a line occupies without an extra lookup.
+	lastSet int
+	lastWay int
 }
 
 // AccessResult describes the outcome of a single cache access.
@@ -164,14 +187,10 @@ func New(cfg Config) (*Cache, error) {
 	}
 	n := cfg.Sets()
 	lines := n * cfg.Assoc
-	// tags and use share one backing array to keep per-cache construction
-	// cheap; the hot scans index them independently.
-	words := make([]uint64, 2*lines)
 	c := &Cache{
 		cfg:     cfg,
-		tags:    words[:lines:lines],
-		use:     words[lines:],
-		state:   make([]uint8, lines),
+		tags:    make([]uint64, lines),
+		meta:    make([]uint16, 2*lines),
 		assoc:   cfg.Assoc,
 		numSets: n,
 		power2:  n&(n-1) == 0,
@@ -242,70 +261,88 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(idx % uint64(c.numSets))
 }
 
-// setBase returns the flat index of the first way of the set holding
-// lineAddr.
-func (c *Cache) setBase(lineAddr uint64) int {
-	return c.setIndex(lineAddr) * c.assoc
+// set returns the tag row, recency order and state row of set s.
+func (c *Cache) set(s int) (tags []uint64, order, state []uint16) {
+	a := c.assoc
+	base := s * a
+	m := c.meta[2*base : 2*base+2*a : 2*base+2*a]
+	return c.tags[base : base+a : base+a], m[:a:a], m[a:]
+}
+
+// toFront moves way to the MRU position of order, shifting the ways ahead
+// of it back by one in the same pass that finds it.
+func toFront(order []uint16, way uint16) {
+	prev := order[0]
+	if prev == way {
+		return
+	}
+	for p := 1; p < len(order); p++ {
+		cur := order[p]
+		order[p] = prev
+		if cur == way {
+			break
+		}
+		prev = cur
+	}
+	order[0] = way
 }
 
 // Access performs a read or write of addr, allocating on miss, and returns
 // the outcome.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	la := c.lineAddr(addr)
-	base := c.setIndex(la) * c.assoc
+	set := c.setIndex(la)
 	c.clock++
 	if write {
 		c.writes++
 	}
-	tags := c.tags[base : base+c.assoc]
-	st := c.state[base : base+c.assoc : base+c.assoc]
-	// Hit scan: tag compare first — a stale tag on an invalid way is the
-	// only false positive, so the state byte is consulted only on a match.
-	for i := range tags {
-		if tags[i] == la && st[i]&lineValid != 0 {
-			c.use[base+i] = c.clock
+	tags, order, st := c.set(set)
+	c.lastSet = set
+	// One pass from MRU to LRU both looks for the line and shifts every way
+	// it passes back by one position: a hit at position p then only has to
+	// put its way in front, and a miss has rotated the whole order, leaving
+	// the LRU way (carried out of the tail) to be put in front as the victim.
+	prev := order[0]
+	for p, w := range order {
+		order[p] = prev
+		if tags[w] == la && st[w]&lineValid != 0 {
+			order[0] = w
 			if write {
-				st[i] |= lineDirty
+				st[w] |= lineDirty
 			}
-			c.lastSlot = base + i
+			c.lastWay = int(w)
 			return AccessResult{Hit: true}
 		}
+		prev = w
 	}
-	// Miss: fill the first invalid way, otherwise evict LRU (lowest use,
-	// ties to the lowest index) — one scan tracking both candidates.
 	c.misses++
-	use := c.use[base : base+c.assoc : base+c.assoc]
-	victim := -1
-	lru := 0
-	lruUse := use[0]
-	for i := range st {
-		if st[i]&lineValid == 0 {
-			victim = i
-			break
-		}
-		if use[i] < lruUse {
-			lru, lruUse = i, use[i]
+	victim := prev
+	if n := len(order) - 1; n > 0 && order[n] == victim {
+		// A rotated order never repeats its old tail, so this is an
+		// all-zero row: the set's first fill.  Order the other ways so
+		// later cold fills take way 1, 2, ... in turn.
+		for p := 1; p <= n; p++ {
+			order[p] = uint16(n + 1 - p)
 		}
 	}
+	order[0] = victim
 	res := AccessResult{}
-	if victim == -1 {
-		victim = lru
+	if s := st[victim]; s&lineValid != 0 {
 		res.Evicted = true
 		res.EvictedAddr = tags[victim]
-		res.EvictedDirty = st[victim]&lineDirty != 0
+		res.EvictedDirty = s&lineDirty != 0
 		c.evictions++
 		if res.EvictedDirty {
 			c.writebacks++
 		}
 	}
 	tags[victim] = la
-	use[victim] = c.clock
 	if write {
 		st[victim] = lineValid | lineDirty
 	} else {
 		st[victim] = lineValid
 	}
-	c.lastSlot = base + victim
+	c.lastWay = int(victim)
 	return res
 }
 
@@ -314,15 +351,41 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 // Slot indices are stable identifiers for resident lines — a line stays in
 // its slot until evicted — so callers can maintain per-resident-line state in
 // a dense array of Config.Lines() entries.
-func (c *Cache) LastSlot() int { return c.lastSlot }
+func (c *Cache) LastSlot() int { return c.lastSet*c.assoc + c.lastWay }
+
+// lastRef returns the slot of the most recent Access packed as
+// set<<16 | way, the form writeHit takes: it spares the hierarchy a
+// division by the associativity to recover the way from a flat slot index.
+func (c *Cache) lastRef() uint64 { return uint64(c.lastSet)<<16 | uint64(c.lastWay) }
+
+// writeHit performs a write of the line la that is known to sit at ref (as
+// returned by lastRef when the line was filled or last touched): a write hit
+// without the tag scan.  It reports false, changing nothing, when the slot
+// does not hold la; the caller then falls back to Access.
+func (c *Cache) writeHit(ref, la uint64) bool {
+	set, way := ref>>16, int(ref&0xffff)
+	if set >= uint64(c.numSets) || way >= c.assoc {
+		return false
+	}
+	tags, order, st := c.set(int(set))
+	if tags[way] != la || st[way]&lineValid == 0 {
+		return false
+	}
+	c.clock++
+	c.writes++
+	st[way] |= lineDirty
+	toFront(order, uint16(way))
+	c.lastSet, c.lastWay = int(set), way
+	return true
+}
 
 // Contains reports whether the line holding addr is present, without
 // affecting LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
 	la := c.lineAddr(addr)
-	base := c.setBase(la)
-	for i := 0; i < c.assoc; i++ {
-		if c.tags[base+i] == la && c.state[base+i]&lineValid != 0 {
+	tags, _, st := c.set(c.setIndex(la))
+	for i := range tags {
+		if tags[i] == la && st[i]&lineValid != 0 {
 			return true
 		}
 	}
@@ -330,42 +393,50 @@ func (c *Cache) Contains(addr uint64) bool {
 }
 
 // Invalidate removes the line holding addr if present, returning whether it
-// was present and dirty.
+// was present and dirty.  The freed way moves to the tail of its set's
+// order, so the next miss in the set fills it.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	la := c.lineAddr(addr)
-	base := c.setBase(la)
-	for i := 0; i < c.assoc; i++ {
-		if c.tags[base+i] == la && c.state[base+i]&lineValid != 0 {
-			dirty = c.state[base+i]&lineDirty != 0
-			c.tags[base+i] = 0
-			c.use[base+i] = 0
-			c.state[base+i] = 0
-			return true, dirty
+	tags, order, st := c.set(c.setIndex(la))
+	for p, w := range order {
+		if s := st[w]; s&lineValid == 0 {
+			// Invalid ways form the tail: the line is absent.
+			return false, false
+		} else if tags[w] == la {
+			copy(order[p:], order[p+1:])
+			order[len(order)-1] = w
+			st[w] = 0
+			return true, s&lineDirty != 0
 		}
 	}
 	return false, false
 }
 
 // Flush invalidates every line, returning the number of dirty lines that
-// would have been written back.
+// would have been written back.  Every set returns to its untouched state.
 func (c *Cache) Flush() (dirty int64) {
-	for i := range c.state {
-		if c.state[i]&(lineValid|lineDirty) == lineValid|lineDirty {
-			dirty++
+	for set := range c.numSets {
+		_, _, st := c.set(set)
+		for _, s := range st {
+			if s == lineValid|lineDirty {
+				dirty++
+			}
 		}
-		c.tags[i] = 0
-		c.use[i] = 0
-		c.state[i] = 0
 	}
+	clear(c.tags)
+	clear(c.meta)
 	return dirty
 }
 
 // OccupiedLines returns the number of valid lines currently resident.
 func (c *Cache) OccupiedLines() int64 {
 	var n int64
-	for i := range c.state {
-		if c.state[i]&lineValid != 0 {
-			n++
+	for set := range c.numSets {
+		_, _, st := c.set(set)
+		for _, s := range st {
+			if s&lineValid != 0 {
+				n++
+			}
 		}
 	}
 	return n

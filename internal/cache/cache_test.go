@@ -49,6 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 1024, LineBytes: 64, Assoc: 0},
 		{SizeBytes: 64, LineBytes: 64, Assoc: 4},
 		{SizeBytes: 1024, LineBytes: 64, Assoc: 4, HitLatency: -1},
+		{SizeBytes: 1<<16 + 1, LineBytes: 1, Assoc: 1<<16 + 1},
 	}
 	for i, cfg := range cases {
 		if err := cfg.Validate(); err == nil {
@@ -58,6 +59,26 @@ func TestConfigValidate(t *testing.T) {
 	good := Config{SizeBytes: 1024, LineBytes: 64, Assoc: 4, HitLatency: 3}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("Validate rejected good config: %v", err)
+	}
+}
+
+// TestWidestAssociativity fills and re-touches every way of a cache at the
+// widest supported associativity, whose way indices use the full uint16
+// range of the recency order.
+func TestWidestAssociativity(t *testing.T) {
+	const ways = 1 << 16
+	c := MustNew(Config{SizeBytes: ways, LineBytes: 1, Assoc: ways})
+	for a := uint64(0); a < ways; a++ {
+		if r := c.Access(a, a%2 == 0); r.Hit || r.Evicted {
+			t.Fatalf("cold fill of line %d: %+v", a, r)
+		}
+	}
+	if r := c.Access(0, false); !r.Hit {
+		t.Fatal("line 0 missed in a full cache")
+	}
+	// Line 1 is now LRU.
+	if r := c.Access(ways, false); !r.Evicted || r.EvictedAddr != 1 || r.EvictedDirty {
+		t.Fatalf("expected clean eviction of line 1, got %+v", r)
 	}
 }
 

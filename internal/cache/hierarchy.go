@@ -82,17 +82,29 @@ type Hierarchy struct {
 	dir      map[uint64]uint64 // line -> bitmask of cores with an L1 copy
 	invs     int64
 
-	// holders[s][slot] is a bitmask of cores that MAY hold, in their L1, the
-	// line resident in slot `slot` of L2 slice s.  It is maintained as a
-	// superset of the true holder set (bits go stale when an L1 silently
-	// drops its copy), which is sound: inclusive-victim invalidation probes
-	// exactly the masked L1s instead of every L1 the slice serves, and
-	// probing a non-holder is a statistics-free no-op.  Inclusion (an L1
-	// line is always present in its backing slice) guarantees L1 dirty
+	// holders[s*l2Lines+slot] is a bitmask of cores that MAY hold, in their
+	// L1, the line resident in slot `slot` of L2 slice s.  It is maintained
+	// as a superset of the true holder set (bits go stale when an L1
+	// silently drops its copy), which is sound: inclusive-victim
+	// invalidation probes exactly the masked L1s instead of every L1 the
+	// slice serves, and probing a non-holder is a statistics-free no-op.
+	//
+	// back[c*l1Lines+slot] is the back-pointer of core c's L1 slot: where
+	// (as Cache.lastRef) in the core's L2 slice the line it holds was
+	// filled from.  Inclusion (an L1 line is always present in its backing
+	// slice) and slot stability keep that location valid while the L1 line
+	// is resident, so a dirty L1 victim's write-back is a write hit at a
+	// known slot rather than a set scan.  Inclusion also guarantees those
 	// write-backs hit L2 and therefore never move lines between slots behind
-	// the mask's back; if a write-back ever misses, probeAll pins the slice
-	// back to the exhaustive probe so classification stays identical.
-	holders  [][]uint64
+	// the masks' back; if a write-back ever misses, probeAll pins the
+	// hierarchy back to exhaustive probes and full write-back lookups so
+	// classification stays identical.
+	//
+	// Both live in one allocation.
+	holders  []uint64
+	back     []uint64
+	l1Lines  int
+	l2Lines  int
 	probeAll bool
 }
 
@@ -106,6 +118,11 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	if err := cfg.Topology.Validate(cfg.Cores); err != nil {
 		return nil, err
+	}
+	// Inclusion, the holder masks and the back-pointers all assume each L1
+	// line maps onto exactly one L2 line.
+	if cfg.L1.LineBytes != cfg.L2.LineBytes {
+		return nil, fmt.Errorf("cache: L1 line size %d differs from L2 line size %d", cfg.L1.LineBytes, cfg.L2.LineBytes)
 	}
 	h := &Hierarchy{cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
@@ -126,10 +143,10 @@ func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
 	}
 	h.sliceOf = make([]int, cfg.Cores)
 	h.sliceL1s = make([][]*Cache, slices)
-	h.holders = make([][]uint64, slices)
-	for i := range h.holders {
-		h.holders[i] = make([]uint64, h.sliceCfg.Lines())
-	}
+	h.l1Lines = int(cfg.L1.Lines())
+	h.l2Lines = int(h.sliceCfg.Lines())
+	words := make([]uint64, slices*h.l2Lines+cfg.Cores*h.l1Lines)
+	h.holders, h.back = words[:slices*h.l2Lines:slices*h.l2Lines], words[slices*h.l2Lines:]
 	for c := 0; c < cfg.Cores; c++ {
 		s := cfg.Topology.SliceOf(c, cfg.Cores)
 		h.sliceOf[c] = s
@@ -188,11 +205,16 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 		return out
 	}
 
+	// The L1 slot just filled, which held the victim.
+	back := &h.back[core*h.l1Lines+l1.LastSlot()]
+
 	// An L1 dirty victim is written back into the core's L2 slice (on-chip
-	// traffic only).  Inclusion means the victim is still resident in L2, so
-	// this hits; a miss would fill a slot without holder bookkeeping, so it
-	// drops the slice group back to exhaustive victim probing.
-	if r1.Evicted && r1.EvictedDirty {
+	// traffic only).  Inclusion means the victim is still resident in L2 at
+	// the slot its back-pointer names, so this is a write hit there; if the
+	// slot does not hold the line, the full lookup decides, and a miss —
+	// which would fill a slot without holder bookkeeping — drops the
+	// hierarchy back to exhaustive victim probing.
+	if r1.Evicted && r1.EvictedDirty && (h.probeAll || !l2.writeHit(*back, r1.EvictedAddr)) {
 		wb := l2.Access(r1.EvictedAddr, true)
 		if !wb.Hit {
 			h.probeAll = true
@@ -203,7 +225,8 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 	}
 
 	r2 := l2.Access(addr, write)
-	slot := l2.LastSlot()
+	*back = l2.lastRef()
+	slot := h.l2Lines*slice + l2.LastSlot()
 	out.L2Evicted = r2.Evicted
 	if r2.Evicted {
 		// Inclusive L2 slices: drop any stale L1 copies of the victim line
@@ -217,7 +240,7 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 				l1c.Invalidate(r2.EvictedAddr)
 			}
 		} else {
-			for m := h.holders[slice][slot]; m != 0; m &= m - 1 {
+			for m := h.holders[slot]; m != 0; m &= m - 1 {
 				h.l1s[bits.TrailingZeros64(m)].Invalidate(r2.EvictedAddr)
 			}
 		}
@@ -229,11 +252,11 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool) HierarchyAccess {
 		}
 	}
 	if r2.Hit {
-		h.holders[slice][slot] |= 1 << uint(core)
+		h.holders[slot] |= 1 << uint(core)
 		out.Level = LevelL2
 		return out
 	}
-	h.holders[slice][slot] = 1 << uint(core)
+	h.holders[slot] = 1 << uint(core)
 	out.Level = LevelMemory
 	out.OffChipTransfers++
 	return out
