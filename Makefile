@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep fuzz-decoder fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-request fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
 
 all: build
 
@@ -17,9 +17,8 @@ test:
 # The concurrent pieces — the sweep engine's worker pool, the scheduler
 # registry (Register/New may race against running sweeps), the metrics
 # registry's sharded counters, the sweep service's single-flight dedup, the
-# cross-process cache leases (heartbeat goroutines vs takeover), the
-# fault-injection shims they are tested through, and the graph kernels
-# (whose DAG builders sweeps run concurrently) — run under the race
+# filesystem fault shim the disk cache is tested through, and the graph
+# kernels (whose DAG builders sweeps run concurrently) — run under the race
 # detector (CI runs this step too).
 race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/...
@@ -29,6 +28,14 @@ race-sweep:
 # target mutates beyond it).  CI runs this step too.
 fuzz-decoder:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeAdj$$' -fuzztime 30s ./internal/graph
+
+# 30-second crash hunt on the sweep service's front door: arbitrary bytes
+# through DecodeRequest, Validate and Jobs (stopping before any Build) must
+# error, never panic (the committed corpus under
+# internal/sweepsvc/testdata/fuzz replays in plain `go test`).  CI runs this
+# step too.
+fuzz-request:
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime 30s ./internal/sweepsvc
 
 # 30-second differential hunt on the cache model: random operation streams
 # through the recency-ordered Cache and the timestamp-LRU reference kept in

@@ -33,31 +33,20 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"time"
 
-	"cmpsched/internal/config"
 	"cmpsched/internal/experiments"
 	"cmpsched/internal/obs"
 	"cmpsched/internal/pprofio"
-	"cmpsched/internal/sched"
 	"cmpsched/internal/stats"
 	"cmpsched/internal/sweep"
-	"cmpsched/internal/workload"
+	"cmpsched/internal/sweepcli"
 )
 
 func main() {
+	grid := sweepcli.Bind(flag.CommandLine)
 	var (
-		workloads  = flag.String("workloads", "mergesort,hashjoin,lu", "comma-separated workloads: "+strings.Join(workload.Names(), ", "))
-		schedulers = flag.String("schedulers", "pdf,ws", "comma-separated schedulers: "+strings.Join(sched.Names(), ", "))
 		list       = flag.Bool("list", false, "print the available workloads, schedulers, topologies and configuration tables, then exit")
-		tables     = flag.String("tables", sweep.TableDefault, "configuration tables: default (Table 2), 45nm (Table 3)")
-		topology   = flag.String("topology", "shared", "comma-separated cache topologies: shared, private, clustered:<k>")
-		cores      = flag.String("cores", "", "comma-separated core counts (empty = all the tables define)")
-		scale      = flag.Int64("scale", config.DefaultScale, "capacity scale factor relative to the paper's configurations")
-		quick      = flag.Bool("quick", false, "use reduced inputs (seconds instead of minutes)")
-		graphRepr  = flag.String("graph-repr", "", "host representation for graph kernels: flat or compressed (empty = flat); the simulated trace is identical either way")
-		seq        = flag.Bool("seq", false, "also run the sequential baseline per point")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = one per host CPU, 1 = serial)")
 		cacheDir   = flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
 		format     = flag.String("format", "table", "output format: table, csv or json")
@@ -71,7 +60,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		printAvailable(os.Stdout)
+		sweepcli.PrintList(os.Stdout)
 		return
 	}
 
@@ -88,19 +77,11 @@ func main() {
 		fatalf("unknown format %q (want table, csv or json)", *format)
 	}
 
-	spec := sweep.Spec{
-		Workloads:  splitList(*workloads),
-		Schedulers: splitList(*schedulers),
-		Tables:     splitList(*tables),
-		Topologies: splitList(*topology),
-		Scale:      *scale,
-		Quick:      *quick,
-		Sequential: *seq,
-		Factory:    experiments.Options{Scale: *scale, Quick: *quick, GraphRepr: *graphRepr}.WorkloadFactory(),
+	spec, err := grid.Spec()
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if spec.Cores, err = parseInts(*cores); err != nil {
-		fatalf("bad -cores: %v", err)
-	}
+	spec.Factory = experiments.Options{Scale: spec.Scale, Quick: spec.Quick, GraphRepr: spec.GraphRepr}.WorkloadFactory()
 	jobs, err := spec.Jobs()
 	if err != nil {
 		fatalf("%v", err)
@@ -142,8 +123,7 @@ func main() {
 		agg.Add(r)
 		done++
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s on %s: %d cycles%s\n",
-				done, len(jobs), r.Key, r.Sim.Config.Name, r.Sim.Cycles, cachedTag(r))
+			fmt.Fprintf(os.Stderr, "sweep: %s\n", sweepcli.RowLine(done, len(jobs), r))
 		}
 		prog.Step(r.Cached)
 	}
@@ -206,25 +186,6 @@ func main() {
 	}
 }
 
-// printAvailable lists every axis value a sweep spec accepts (-list).  Both
-// name lists come straight from the live registries (workload.Names,
-// sched.Names), already deterministically sorted, so late registrations and
-// parameterised scheduler spellings show up without CLI changes.
-func printAvailable(w *os.File) {
-	fmt.Fprintf(w, "workloads:  %s\n", strings.Join(workload.Names(), ", "))
-	fmt.Fprintf(w, "schedulers: %s (plus the %q baseline via -seq)\n",
-		strings.Join(sched.Names(), ", "), sweep.Sequential)
-	fmt.Fprintf(w, "topologies: shared, private, clustered:<cores-per-slice>\n")
-	fmt.Fprintf(w, "tables:     %s (Table 2), %s (Table 3)\n", sweep.TableDefault, sweep.Table45nm)
-}
-
-func cachedTag(r sweep.Result) string {
-	if r.Cached {
-		return " (cached)"
-	}
-	return ""
-}
-
 // printTables renders every result as one aligned row.
 func printTables(w *os.File, results []sweep.Result) {
 	t := stats.NewTable("workload", "sched", "config", "topology", "cores", "cycles", "L2 misses/Ki", "mem util %", "cached")
@@ -260,28 +221,6 @@ func printSummary(w *os.File, agg *sweep.Aggregator, engine *sweep.Engine, cache
 		fmt.Fprintf(w, "; cache: %d hits, %d misses", hits, misses)
 	}
 	fmt.Fprintln(w)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitList(s) {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // flushProfiles is pprofio.Start's idempotent flush; fatalf must run it

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"cmpsched/internal/config"
 	"cmpsched/internal/dag"
-	"cmpsched/internal/faultinject"
 	"cmpsched/internal/sweep"
 	"cmpsched/internal/sweepsvc"
 	"cmpsched/internal/workload"
@@ -30,11 +27,10 @@ func testCfg(t *testing.T) config.CMP {
 }
 
 // newTestServer starts a real sweep service whose expander maps each
-// submitted point to a milliseconds-scale job (deterministic per point, so
-// every server produces identical rows), optionally behind the HTTP fault
-// injector.  failPoint, when non-empty, names a workload whose build fails —
-// the terminal-job-error case.
-func newTestServer(t *testing.T, faults faultinject.HTTPFaults, failPoint string) *httptest.Server {
+// submitted point to a milliseconds-scale job (deterministic per point).
+// failPoint, when non-empty, names a workload whose build fails — the
+// job-error case.
+func newTestServer(t *testing.T, failPoint string) *httptest.Server {
 	t.Helper()
 	cfg := testCfg(t)
 	svc := sweepsvc.NewService(sweepsvc.Options{Workers: 2})
@@ -42,7 +38,6 @@ func newTestServer(t *testing.T, faults faultinject.HTTPFaults, failPoint string
 	h.Expand = func(r *sweepsvc.Request) ([]sweep.Job, error) {
 		jobs := make([]sweep.Job, len(r.Points))
 		for i, p := range r.Points {
-			p := p
 			build := func() (*dag.DAG, error) {
 				if p.Workload == failPoint {
 					return nil, fmt.Errorf("injected build failure for %s", p.Workload)
@@ -55,11 +50,7 @@ func newTestServer(t *testing.T, faults faultinject.HTTPFaults, failPoint string
 		}
 		return jobs, nil
 	}
-	var handler http.Handler = h
-	if faults.Enabled() {
-		handler = faults.Wrap(handler)
-	}
-	srv := httptest.NewServer(handler)
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -86,125 +77,36 @@ func testPoints(t *testing.T, n int) []sweepsvc.Point {
 	return pts
 }
 
-// newTestClient builds a client with test-scale retry pacing.
-func newTestClient(endpoints ...string) *client {
-	return &client{
-		endpoints: endpoints,
-		retries:   6,
-		backoff:   time.Millisecond,
-		http:      &http.Client{Transport: &http.Transport{ResponseHeaderTimeout: 10 * time.Second}},
-	}
+func newTestClient(server string) *client {
+	return &client{server: server, http: &http.Client{}}
 }
 
-// normalize strips the legitimately-varying fields so rows from different
-// servers/attempts compare equal.
-func normalize(rs []sweep.Result) []sweep.Result {
-	out := make([]sweep.Result, len(rs))
-	for i, r := range rs {
-		r.Cached = false
-		r.Elapsed = 0
-		out[i] = r
-	}
-	return out
-}
-
-// cleanRun sweeps the points through one fault-free server as the reference.
-func cleanRun(t *testing.T, points []sweepsvc.Point) []sweep.Result {
-	t.Helper()
-	srv := newTestServer(t, faultinject.HTTPFaults{}, "")
-	results := make([]sweep.Result, len(points))
-	cl := newTestClient(srv.URL)
-	failures, err := cl.run(points, results)
+// TestClientStreamsRowsInJobOrder: rows finish in any order on the server's
+// two runners but land at their job index.
+func TestClientStreamsRowsInJobOrder(t *testing.T) {
+	points := testPoints(t, 12)
+	srv := newTestServer(t, "")
+	results, failures, err := newTestClient(srv.URL).run(&sweepsvc.Request{Points: points})
 	if err != nil || len(failures) != 0 {
-		t.Fatalf("clean run: failures=%v err=%v", failures, err)
+		t.Fatalf("run: failures=%v err=%v", failures, err)
 	}
-	return normalize(results)
-}
-
-// TestClientRidesOutInjectedFaults: a single endpoint injecting 429s, 503s
-// and mid-stream drops must still deliver the complete, correct row set —
-// retries resubmit only the unreceived points.
-func TestClientRidesOutInjectedFaults(t *testing.T) {
-	points := testPoints(t, 10)
-	want := cleanRun(t, points)
-
-	srv := newTestServer(t, faultinject.HTTPFaults{
-		Seed:           11,
-		Rate429:        0.2,
-		Rate503:        0.2,
-		RateDrop:       0.2,
-		RetryAfter:     time.Second, // rounded up from ms by the header; still honored
-		DropAfterBytes: 300,
-	}, "")
-	results := make([]sweep.Result, len(points))
-	cl := newTestClient(srv.URL)
-	failures, err := cl.run(points, results)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+	if len(results) != len(points) {
+		t.Fatalf("%d rows for %d points", len(results), len(points))
 	}
-	if len(failures) != 0 {
-		t.Fatalf("failures: %v", failures)
-	}
-	if got := normalize(results); !reflect.DeepEqual(got, want) {
-		t.Fatal("faulted run's merged rows differ from the clean run")
-	}
-}
-
-// TestClientFailsOverToSurvivor: with one endpoint permanently down, its
-// shard must re-shard onto the survivor and the merged output must match a
-// clean single-server run exactly.
-func TestClientFailsOverToSurvivor(t *testing.T) {
-	points := testPoints(t, 8)
-	want := cleanRun(t, points)
-
-	alive := newTestServer(t, faultinject.HTTPFaults{}, "")
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "always down", http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(dead.Close)
-
-	results := make([]sweep.Result, len(points))
-	cl := newTestClient(dead.URL, alive.URL)
-	cl.retries = 1
-	failures, err := cl.run(points, results)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if len(failures) != 0 {
-		t.Fatalf("failures: %v", failures)
-	}
-	if got := normalize(results); !reflect.DeepEqual(got, want) {
-		t.Fatal("failover run's merged rows differ from the clean run")
-	}
-}
-
-// TestClientAllEndpointsDead: when every endpoint is gone the client reports
-// the outstanding points instead of hanging.
-func TestClientAllEndpointsDead(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	t.Cleanup(dead.Close)
-
-	points := testPoints(t, 3)
-	results := make([]sweep.Result, len(points))
-	cl := newTestClient(dead.URL)
-	cl.retries = 1
-	_, err := cl.run(points, results)
-	if err == nil || !strings.Contains(err.Error(), "dead") {
-		t.Fatalf("want an all-endpoints-dead error, got %v", err)
+	for i, r := range results {
+		if r.Sim == nil || r.Key.Workload != points[i].Workload || r.Key.Scheduler != points[i].Scheduler {
+			t.Fatalf("row %d = %+v, want %s/%s", i, r.Key, points[i].Workload, points[i].Scheduler)
+		}
 	}
 }
 
 // TestClientJobErrorIsTerminal: a job that fails in simulation is reported
-// once and never resubmitted (it would fail identically anywhere).
+// once, and every other row still arrives.
 func TestClientJobErrorIsTerminal(t *testing.T) {
 	points := testPoints(t, 4)
-	srv := newTestServer(t, faultinject.HTTPFaults{}, points[1].Workload)
+	srv := newTestServer(t, points[1].Workload)
 
-	results := make([]sweep.Result, len(points))
-	cl := newTestClient(srv.URL)
-	failures, err := cl.run(points, results)
+	results, failures, err := newTestClient(srv.URL).run(&sweepsvc.Request{Points: points})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -224,14 +126,12 @@ func TestClientJobErrorIsTerminal(t *testing.T) {
 	}
 }
 
-func TestParseRetryAfter(t *testing.T) {
-	if d := parseRetryAfter("3"); d != 3*time.Second {
-		t.Fatalf("parseRetryAfter(3) = %v", d)
-	}
-	if d := parseRetryAfter(""); d != 0 {
-		t.Fatalf("parseRetryAfter(empty) = %v", d)
-	}
-	if d := parseRetryAfter("-1"); d != 0 {
-		t.Fatalf("parseRetryAfter(-1) = %v", d)
+// TestClientReportsRejection: a submission the server refuses comes back as
+// an error carrying the server's diagnosis.
+func TestClientReportsRejection(t *testing.T) {
+	srv := newTestServer(t, "")
+	_, _, err := newTestClient(srv.URL).run(&sweepsvc.Request{Points: []sweepsvc.Point{{Workload: "nope", Scheduler: "pdf", Cores: 2}}})
+	if err == nil || !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("err = %v, want a 400 naming the bad workload", err)
 	}
 }

@@ -11,16 +11,14 @@
 //	sweepd -cache-dir /var/cache/sweep            # persistent cross-run cache
 //	sweepd -max-queue 256 -retry-after 5s         # admission control tuning
 //	sweepd -job-timeout 5m                        # bound runaway simulations
-//	sweepd -fault-inject seed=7,429=0.2,drop=0.1  # chaos-test the data path
 //	sweepd -list                                  # axis values clients may use
 //
-// A fleet of sweepd instances may share one -cache-dir: the cache is wrapped
-// in crash-safe per-key leases (sweep.LeasedCache), so overlapping grids
-// submitted to different instances simulate each distinct key once
-// fleet-wide, and a killed instance's leases are taken over by survivors.
-// -fault-inject arms the deterministic HTTP fault harness
-// (internal/faultinject) on the data path only — /healthz and /metrics stay
-// clean — for rehearsing client retry/failover without real failures.
+// A request is a sweep.Spec — a grid or an explicit point list — expanded by
+// the same code cmd/sweep runs, so its rows carry the keys a local run
+// would.  Processes sharing one -cache-dir (other sweepd instances, cmd/sweep
+// runs) stay correct: cache writes are atomic and entries are
+// content-addressed.  They do not coordinate, so two of them may simulate
+// the same key.
 //
 // Endpoints: POST /sweeps (submit, streams NDJSON or SSE), GET and DELETE
 // /sweeps/{id} (status, cancel), GET /metrics, GET /healthz.  On SIGINT or
@@ -34,22 +32,18 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"cmpsched/internal/faultinject"
 	"cmpsched/internal/obs"
-	"cmpsched/internal/sched"
 	"cmpsched/internal/sweep"
+	"cmpsched/internal/sweepcli"
 	"cmpsched/internal/sweepsvc"
-	"cmpsched/internal/workload"
 )
 
 func main() {
@@ -61,27 +55,20 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 0, "max jobs in one submission (0 = default)")
 		retryAfter   = flag.Duration("retry-after", 0, "Retry-After hint on saturated rejections (0 = default)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the persistent result cache (empty = in-memory only)")
-		leaseTTL     = flag.Duration("lease-ttl", 10*time.Second, "staleness bound on shared-cache flight leases: a crashed instance's lease is taken over after this long without a heartbeat")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job simulation wall-clock bound; an exceeding job fails as one row instead of wedging a runner (0 = unbounded)")
 		reqTimeout   = flag.Duration("request-timeout", 30*time.Second, "limit on reading a request's headers and body (result streams are unbounded)")
-		faultSpec    = flag.String("fault-inject", "", "arm the deterministic HTTP fault harness on the data path, e.g. seed=7,429=0.2,503=0.1,drop=0.1,latency=10ms (dev/chaos use)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "max time to finish the backlog on SIGTERM before cancelling it")
 		list         = flag.Bool("list", false, "print the workloads, schedulers, topologies and tables clients may submit, then exit")
 	)
 	flag.Parse()
 
 	if *list {
-		printAvailable(os.Stdout)
+		sweepcli.PrintList(os.Stdout)
 		return
 	}
 
-	faults, err := faultinject.ParseHTTPFaults(*faultSpec)
-	if err != nil {
-		log.Fatalf("sweepd: bad -fault-inject: %v", err)
-	}
-
-	// One shared registry so the service, engine and lease metrics all land
-	// on /metrics.
+	// One shared registry so the service and engine metrics both land on
+	// /metrics.
 	reg := obs.NewRegistry()
 	var cache sweep.Cache
 	if *cacheDir != "" {
@@ -89,14 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("sweepd: %v", err)
 		}
-		// Leases make the cache directory safely shareable with other
-		// sweepd instances (and CLI runs): each distinct key simulates once
-		// fleet-wide, crashed holders are fenced and taken over.
-		cache = sweep.NewLeasedCache(dc, sweep.LeaseOptions{
-			TTL:     *leaseTTL,
-			Metrics: reg,
-			Logf:    log.Printf,
-		})
+		cache = dc
 	}
 	svc := sweepsvc.NewService(sweepsvc.Options{
 		Workers:         *workers,
@@ -111,18 +91,11 @@ func main() {
 	h := sweepsvc.NewHandler(svc)
 	h.Logf = log.Printf
 
-	var handler http.Handler = h
-	if faults.Enabled() {
-		faults.Logf = log.Printf
-		handler = faults.Wrap(handler)
-		log.Printf("sweepd: fault injection armed: %s", *faultSpec)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("sweepd: %v", err)
 	}
-	server := &http.Server{Handler: handler, ReadTimeout: *reqTimeout}
+	server := &http.Server{Handler: h, ReadTimeout: *reqTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- server.Serve(ln) }()
 	log.Printf("sweepd: listening on http://%s", ln.Addr())
@@ -150,15 +123,4 @@ func main() {
 		log.Printf("sweepd: shutdown: %v", err)
 	}
 	log.Printf("sweepd: drained, exiting")
-}
-
-// printAvailable lists every axis value a wire request accepts (-list),
-// straight from the live registries so late registrations and parameterised
-// scheduler spellings show up without server changes.
-func printAvailable(w *os.File) {
-	fmt.Fprintf(w, "workloads:  %s\n", strings.Join(workload.Names(), ", "))
-	fmt.Fprintf(w, "schedulers: %s (plus the %q baseline)\n",
-		strings.Join(sched.Names(), ", "), sweep.Sequential)
-	fmt.Fprintf(w, "topologies: shared, private, clustered:<cores-per-slice>\n")
-	fmt.Fprintf(w, "tables:     %s (Table 2), %s (Table 3)\n", sweep.TableDefault, sweep.Table45nm)
 }

@@ -188,11 +188,6 @@ type (
 	// SweepWorkloadFactory builds workloads for sweep specifications; see
 	// ExperimentOptions.WorkloadFactory for the paper-sized inputs.
 	SweepWorkloadFactory = sweep.WorkloadFactory
-	// SweepLeaseOptions tune the crash-safe flight leases that make a disk
-	// cache directory shareable between processes (TTL before a dead
-	// holder's lease is taken over, heartbeat and poll cadence; see
-	// NewSweepSharedDiskCache).
-	SweepLeaseOptions = sweep.LeaseOptions
 
 	// SweepService shares one sweep engine between concurrent clients with
 	// cross-client single-flight deduplication, admission control and
@@ -454,21 +449,10 @@ func NewSweepEngine(opts SweepEngineOptions) *SweepEngine { return sweep.NewEngi
 func NewSweepMemoryCache() SweepCache { return sweep.NewMemoryCache() }
 
 // NewSweepDiskCache returns a sweep result cache persisted under dir, so
-// repeated sweeps across processes are near-instant.
+// repeated sweeps across processes are near-instant.  Processes sharing one
+// directory stay correct — writes are atomic and entries content-addressed —
+// but may simulate the same key twice.
 func NewSweepDiskCache(dir string) (SweepCache, error) { return sweep.NewDiskCache(dir) }
-
-// NewSweepSharedDiskCache returns a disk-backed sweep cache that is safe to
-// share between concurrent processes (a sweepd fleet, CLI runs): per-key
-// crash-safe flight leases make each distinct simulation run at most once
-// across every process on the directory, with stale leases from crashed
-// holders fenced and taken over after opts.TTL.
-func NewSweepSharedDiskCache(dir string, opts SweepLeaseOptions) (SweepCache, error) {
-	dc, err := sweep.NewDiskCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	return sweep.NewLeasedCache(dc, opts), nil
-}
 
 // RunSweep expands the spec and executes it with the given engine options.
 func RunSweep(spec SweepSpec, opts SweepEngineOptions) ([]SweepResult, error) {

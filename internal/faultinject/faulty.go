@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io/fs"
 	"sync"
-	"time"
 
 	"cmpsched/internal/prng"
 )
@@ -14,25 +13,20 @@ import (
 type Op string
 
 // The fault-schedulable operation classes.  OpWrite covers File.Write on
-// files returned by CreateTemp/OpenFile/WriteFile; the others map one to one
-// onto FS methods.
+// files returned by CreateTemp; the others map one to one onto FS methods.
 const (
 	// OpRead is ReadFile.
 	OpRead Op = "read"
-	// OpWrite is File.Write (and the write inside WriteFile).
+	// OpWrite is File.Write.
 	OpWrite Op = "write"
-	// OpCreate is CreateTemp and OpenFile.
+	// OpCreate is CreateTemp (and MkdirAll).
 	OpCreate Op = "create"
 	// OpRename is Rename — the commit point of the atomic-write protocol.
 	OpRename Op = "rename"
 	// OpRemove is Remove.
 	OpRemove Op = "remove"
-	// OpStat is Stat.
-	OpStat Op = "stat"
 	// OpReadDir is ReadDir.
 	OpReadDir Op = "readdir"
-	// OpChtimes is Chtimes — the lease heartbeat.
-	OpChtimes Op = "chtimes"
 )
 
 // ErrInjected is the injected I/O failure (the harness's EIO).
@@ -40,7 +34,7 @@ var ErrInjected = errors.New("faultinject: injected I/O error")
 
 // ErrCrashed reports an operation attempted after the simulated process
 // crash: every operation on a crashed Faulty fails with it, so cleanup code
-// paths (remove-on-error, lease release) are suppressed exactly as a real
+// paths (remove-on-error) are suppressed exactly as a real
 // SIGKILL would suppress them.
 var ErrCrashed = errors.New("faultinject: process crashed")
 
@@ -50,7 +44,7 @@ var ErrCrashed = errors.New("faultinject: process crashed")
 // class (FailAt, CrashAt).  A triggered OpWrite performs a partial write
 // (half the buffer reaches the inner file) before failing; a CrashAt trigger
 // additionally freezes the whole filesystem in the crashed state, leaving
-// temp files, unrenamed entries and unreleased leases behind for recovery
+// temp files and unrenamed entries behind for recovery
 // code to find.  All methods are safe for concurrent use; the probabilistic
 // stream is consumed under a mutex, so a single-goroutine caller sees a
 // fully reproducible schedule.
@@ -205,36 +199,12 @@ func (f *Faulty) ReadFile(name string) ([]byte, error) {
 	return f.inner.ReadFile(name)
 }
 
-// WriteFile implements FS.  An injected write fault leaves a half-written
-// file behind, like a torn write on a real disk.
-func (f *Faulty) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	if err := f.check(OpWrite); err != nil {
-		if !errors.Is(err, ErrCrashed) {
-			_ = f.inner.WriteFile(name, data[:len(data)/2], perm)
-		}
-		return err
-	}
-	return f.inner.WriteFile(name, data, perm)
-}
-
 // CreateTemp implements FS.
 func (f *Faulty) CreateTemp(dir, pattern string) (File, error) {
 	if err := f.check(OpCreate); err != nil {
 		return nil, err
 	}
 	file, err := f.inner.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &faultyFile{f: f, inner: file}, nil
-}
-
-// OpenFile implements FS.
-func (f *Faulty) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	if err := f.check(OpCreate); err != nil {
-		return nil, err
-	}
-	file, err := f.inner.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
 	}
@@ -257,28 +227,12 @@ func (f *Faulty) Remove(name string) error {
 	return f.inner.Remove(name)
 }
 
-// Stat implements FS.
-func (f *Faulty) Stat(name string) (fs.FileInfo, error) {
-	if err := f.check(OpStat); err != nil {
-		return nil, err
-	}
-	return f.inner.Stat(name)
-}
-
 // ReadDir implements FS.
 func (f *Faulty) ReadDir(name string) ([]fs.DirEntry, error) {
 	if err := f.check(OpReadDir); err != nil {
 		return nil, err
 	}
 	return f.inner.ReadDir(name)
-}
-
-// Chtimes implements FS.
-func (f *Faulty) Chtimes(name string, atime, mtime time.Time) error {
-	if err := f.check(OpChtimes); err != nil {
-		return err
-	}
-	return f.inner.Chtimes(name, atime, mtime)
 }
 
 // faultyFile routes writes through the parent's schedule.

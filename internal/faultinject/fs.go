@@ -1,19 +1,14 @@
 // Package faultinject is the deterministic fault-injection harness for the
-// sweep system's durability and availability paths.
+// sweep disk cache's durability paths.
 //
-// It has two halves.  The filesystem half is an FS interface covering
-// exactly the operations the disk cache and its lease layer perform, with a
-// passthrough implementation over the real filesystem (OS) and a Faulty
-// wrapper that injects I/O errors, partial writes and crash-before-rename by
-// a seeded schedule — so a test (or a -fault-inject dev run) can replay the
+// It is an FS interface covering exactly the operations the disk cache
+// performs, with a passthrough implementation over the real filesystem (OS)
+// and a Faulty wrapper that injects I/O errors, partial writes and
+// crash-before-rename by a seeded schedule — so a test can replay the
 // precise interleaving in which a writer died, byte for byte, on every run.
-// The HTTP half (see http.go) wraps a handler with injected 429/503
-// rejections, added latency and mid-stream connection drops on the same kind
-// of seeded schedule, exercising the client's retry, reconnect and failover
-// paths without real network failures.
 //
-// Determinism is the point: every fault decision consumes one value from a
-// splitmix64 stream seeded by the caller, so a failing chaos run is
+// Determinism is the point: every probabilistic fault decision consumes one
+// value from a splitmix64 stream seeded by the caller, so a failing run is
 // reproduced exactly by its seed, never hunted statistically.
 package faultinject
 
@@ -21,7 +16,6 @@ import (
 	"io"
 	"io/fs"
 	"os"
-	"time"
 )
 
 // File is the writable-file surface the cache's atomic-write protocol needs:
@@ -34,31 +28,21 @@ type File interface {
 	Name() string
 }
 
-// FS is the filesystem surface of the disk cache and its lease layer.  All
-// methods have the semantics of the identically named os functions.
+// FS is the filesystem surface of the disk cache.  All methods have the
+// semantics of the identically named os functions.
 type FS interface {
 	// MkdirAll creates a directory and any missing parents.
 	MkdirAll(path string, perm fs.FileMode) error
 	// ReadFile reads a whole file.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile writes data to a file, creating or truncating it.
-	WriteFile(name string, data []byte, perm fs.FileMode) error
 	// CreateTemp creates a new temporary file in dir (os.CreateTemp).
 	CreateTemp(dir, pattern string) (File, error)
-	// OpenFile opens a file with the given flags (os.OpenFile); with
-	// os.O_CREATE|os.O_EXCL it is the atomic claim primitive leases use.
-	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
-	// Stat describes a file (leases read freshness off ModTime).
-	Stat(name string) (fs.FileInfo, error)
 	// ReadDir lists a directory (the cache's open-time garbage collection).
 	ReadDir(name string) ([]fs.DirEntry, error)
-	// Chtimes sets a file's access and modification times (the lease
-	// heartbeat).
-	Chtimes(name string, atime, mtime time.Time) error
 }
 
 // osFS is the passthrough FS over the real filesystem.
@@ -70,18 +54,8 @@ func (osFS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(p
 // ReadFile implements FS.
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
-// WriteFile implements FS.
-func (osFS) WriteFile(name string, data []byte, perm fs.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
-
 // CreateTemp implements FS.
 func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
-
-// OpenFile implements FS.
-func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
-	return os.OpenFile(name, flag, perm)
-}
 
 // Rename implements FS.
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
@@ -89,16 +63,8 @@ func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, ne
 // Remove implements FS.
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
-// Stat implements FS.
-func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
-
 // ReadDir implements FS.
 func (osFS) ReadDir(name string) ([]fs.DirEntry, error) { return os.ReadDir(name) }
-
-// Chtimes implements FS.
-func (osFS) Chtimes(name string, atime, mtime time.Time) error {
-	return os.Chtimes(name, atime, mtime)
-}
 
 // OS returns the passthrough FS over the real filesystem.
 func OS() FS { return osFS{} }

@@ -91,10 +91,14 @@ func (c *MemoryCache) Len() int {
 // recomputes, and the following Put overwrites the bad file.  A shared disk
 // cache therefore degrades to recomputation, never to failed jobs.
 //
+// Processes sharing one directory stay correct: writes are atomic and
+// entries are content-addressed, so a reader sees either a whole entry or
+// none.  Nothing coordinates the processes, so two of them may simulate the
+// same key; the later Put replaces an identical entry.
+//
 // Opening a cache garbage-collects the debris a crashed writer can leave
-// behind: orphaned put-*.tmp files older than TempMaxAge and .lease files
-// (see lease.go) older than LeaseMaxAge, so a killed process never
-// permanently poisons a cache directory.
+// behind — orphaned put-*.tmp files older than TempMaxAge — so a killed
+// process never permanently poisons a cache directory.
 type DiskCache struct {
 	counters
 	dir string
@@ -103,7 +107,7 @@ type DiskCache struct {
 
 	logf func(format string, args ...any)
 
-	gcTemps, gcLeases int
+	gcTemps int
 }
 
 // DiskCacheOptions tune a DiskCache; the zero value is the default
@@ -121,11 +125,6 @@ type DiskCacheOptions struct {
 	// writer's temp file is ever collected, short enough that crash debris
 	// does not accumulate.
 	TempMaxAge time.Duration
-	// LeaseMaxAge is the age beyond which a .lease file is collected on
-	// open.  Zero means one minute — far beyond any live holder's heartbeat
-	// interval (see LeaseOptions), so only leases whose owner died without
-	// takeover are swept.
-	LeaseMaxAge time.Duration
 }
 
 // withDefaults fills the zero fields.
@@ -135,9 +134,6 @@ func (o DiskCacheOptions) withDefaults() DiskCacheOptions {
 	}
 	if o.TempMaxAge <= 0 {
 		o.TempMaxAge = time.Hour
-	}
-	if o.LeaseMaxAge <= 0 {
-		o.LeaseMaxAge = time.Minute
 	}
 	return o
 }
@@ -155,16 +151,15 @@ func NewDiskCacheWith(dir string, opts DiskCacheOptions) (*DiskCache, error) {
 		return nil, fmt.Errorf("sweep: cache dir: %w", err)
 	}
 	c := &DiskCache{dir: dir, mem: NewMemoryCache(), fs: opts.FS, logf: opts.Logf}
-	c.gc(opts.TempMaxAge, opts.LeaseMaxAge)
+	c.gc(opts.TempMaxAge)
 	return c, nil
 }
 
 // gc sweeps crash debris out of the cache directory: orphaned temp files
-// from writers that died mid-Put, and lease files whose owner died long
-// enough ago that no live instance can still be heartbeating them.  GC
-// failures are logged and ignored — a cache that cannot clean up still
-// works, the debris just waits for the next open.
-func (c *DiskCache) gc(tempMaxAge, leaseMaxAge time.Duration) {
+// from writers that died mid-Put.  GC failures are logged and ignored — a
+// cache that cannot clean up still works, the debris just waits for the next
+// open.
+func (c *DiskCache) gc(maxAge time.Duration) {
 	ents, err := c.fs.ReadDir(c.dir)
 	if err != nil {
 		if c.logf != nil {
@@ -175,13 +170,7 @@ func (c *DiskCache) gc(tempMaxAge, leaseMaxAge time.Duration) {
 	now := time.Now()
 	for _, ent := range ents {
 		name := ent.Name()
-		var maxAge time.Duration
-		switch {
-		case strings.HasPrefix(name, "put-") && strings.HasSuffix(name, ".tmp"):
-			maxAge = tempMaxAge
-		case strings.HasSuffix(name, leaseSuffix):
-			maxAge = leaseMaxAge
-		default:
+		if !strings.HasPrefix(name, "put-") || !strings.HasSuffix(name, ".tmp") {
 			continue
 		}
 		info, err := ent.Info()
@@ -196,11 +185,7 @@ func (c *DiskCache) gc(tempMaxAge, leaseMaxAge time.Duration) {
 				}
 				continue
 			}
-			if strings.HasSuffix(name, leaseSuffix) {
-				c.gcLeases++
-			} else {
-				c.gcTemps++
-			}
+			c.gcTemps++
 			if c.logf != nil {
 				c.logf("sweep: cache: gc: removed %s (age %s)", path, age.Round(time.Second))
 			}
@@ -208,9 +193,9 @@ func (c *DiskCache) gc(tempMaxAge, leaseMaxAge time.Duration) {
 	}
 }
 
-// GCStats reports how many orphaned temp files and expired lease files the
-// open-time garbage collection removed.
-func (c *DiskCache) GCStats() (temps, leases int) { return c.gcTemps, c.gcLeases }
+// GCStats reports how many orphaned temp files the open-time garbage
+// collection removed.
+func (c *DiskCache) GCStats() (temps int) { return c.gcTemps }
 
 // Dir returns the backing directory.
 func (c *DiskCache) Dir() string { return c.dir }

@@ -5,9 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"cmpsched/internal/cmpsim"
+	"cmpsched/internal/faultinject"
 )
 
 // TestDiskCacheCorruptEntryLogsAndOverwrites pins the corruption-tolerance
@@ -78,6 +83,108 @@ func TestDiskCacheCorruptEntryLogsAndOverwrites(t *testing.T) {
 				t.Fatalf("recomputation must overwrite the corrupt entry")
 			}
 		})
+	}
+}
+
+// TestDiskCacheCollectsCrashedPutTemp rehearses a writer killed between
+// writing its temp file and renaming it into place: the entry stays absent
+// (a miss, never a partial file), and a reopened cache whose GC horizon has
+// passed sweeps the orphaned temp file.
+func TestDiskCacheCollectsCrashedPutTemp(t *testing.T) {
+	dir := t.TempDir()
+	k := Key{Workload: "w", Params: "p", Scheduler: "pdf", Config: "c"}
+
+	crashFS := faultinject.NewFaulty(faultinject.OS(), 1)
+	crashFS.CrashAt(faultinject.OpRename, 1)
+	victim, err := NewDiskCacheWith(dir, DiskCacheOptions{FS: crashFS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.Put(Entry{Key: k, Sim: &cmpsim.Result{Cycles: 42}}); err == nil {
+		t.Fatal("put should crash")
+	}
+	if !crashFS.Crashed() {
+		t.Fatal("filesystem not crashed")
+	}
+
+	// A default horizon leaves the fresh temp file alone.
+	survivor, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if temps := survivor.GCStats(); temps != 0 {
+		t.Fatalf("default gc collected %d fresh temp files, want 0", temps)
+	}
+	if _, ok := survivor.Get(k); ok {
+		t.Fatal("an unrenamed entry must read as a miss")
+	}
+
+	time.Sleep(10 * time.Millisecond)
+	reopened, err := NewDiskCacheWith(dir, DiskCacheOptions{TempMaxAge: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if temps := reopened.GCStats(); temps != 1 {
+		t.Fatalf("gc collected %d temp files, want 1", temps)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("debris survived gc: %v", ents)
+	}
+}
+
+// TestEnginesSharingOneCacheDirAgree pins the shared-directory contract:
+// two engines, each with its own DiskCache over one directory (two
+// processes, in effect), running overlapping grids concurrently produce
+// exactly the rows of an uncached run, and leave one readable entry per
+// key.  Nothing coordinates them, so how many jobs each simulates is left
+// open.
+func TestEnginesSharingOneCacheDirAgree(t *testing.T) {
+	dir := t.TempDir()
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	want, err := NewEngine(EngineOptions{Workers: 2}).Run(jobs)
+	if err != nil {
+		t.Fatalf("uncached run: %v", err)
+	}
+
+	var wg sync.WaitGroup
+	got := make([][]Result, 2)
+	errs := make([]error, 2)
+	for i := range got {
+		c, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int, c *DiskCache) {
+			defer wg.Done()
+			got[i], errs[i] = NewEngine(EngineOptions{Workers: 2, Cache: c}).Run(jobs)
+		}(i, c)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("engine %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(stripVariance(got[i]), stripVariance(want)) {
+			t.Fatalf("engine %d over the shared directory disagrees with the uncached run", i)
+		}
+	}
+
+	fresh, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if _, ok := fresh.Get(j.Key); !ok {
+			t.Errorf("no readable entry for %s", j.Key)
+		}
 	}
 }
 

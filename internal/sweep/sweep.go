@@ -212,7 +212,7 @@ type EngineOptions struct {
 	// time: a run that exceeds it is cancelled (cmpsim.ErrCancelled) and the
 	// job fails with a timeout error, instead of a runaway simulation
 	// wedging a worker forever.  The timeout covers only the simulation —
-	// cache hits and adopted flights are exempt — and is private to the job:
+	// cache hits are exempt — and is private to the job:
 	// engine-level cancellation (RunContext) still takes effect only between
 	// jobs, so every non-timed-out Result stays complete and cacheable.
 	// Jobs that carry their own Options.Cancel keep it unless a timeout is
@@ -340,7 +340,7 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 			if err := ctx.Err(); err != nil {
 				return results, fmt.Errorf("sweep: %w", err)
 			}
-			r, err := e.runJob(ctx, jobs[i])
+			r, err := e.runJob(jobs[i])
 			if err != nil {
 				return results, fmt.Errorf("sweep: job %d (%s): %w", i, jobs[i].Key, err)
 			}
@@ -363,7 +363,7 @@ func (e *Engine) RunStreamContext(ctx context.Context, jobs []Job, onResult func
 		go func(worker int) {
 			defer wg.Done()
 			for i := range indexes {
-				r, err := e.runJob(ctx, jobs[i])
+				r, err := e.runJob(jobs[i])
 				if err != nil {
 					errs[i] = err
 					// Stop feeding new jobs; in-flight ones finish.
@@ -408,11 +408,8 @@ feed:
 // A panic anywhere in the job — a buggy workload builder, a scheduler edge
 // case, a derivation indexing past its stats — is recovered into the job's
 // error, so one bad job fails one row instead of killing the process (and,
-// under sweepsvc, the whole daemon).  ctx feeds only cross-process flight
-// coordination (FlightCache.Acquire waits); simulation cancellation is
-// governed by EngineOptions.JobTimeout alone, preserving the documented
-// between-jobs cancellation contract.
-func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
+// under sweepsvc, the whole daemon).
+func (e *Engine) runJob(j Job) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("job panicked: %v\n%s", p, debug.Stack())
@@ -422,24 +419,6 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
 	if e.cache != nil && !j.KeepTaskStats {
 		if ent, ok := e.cache.Get(j.Key); ok {
 			return Result{Key: j.Key, Sim: ent.Sim, Derived: ent.Derived, Cached: true, Elapsed: time.Since(start)}, nil
-		}
-		if fc, ok := e.cache.(FlightCache); ok {
-			// Cross-process single-flight: adopt the entry if another
-			// instance lands it first, otherwise hold the flight's lease for
-			// the duration of the simulation.  The lease is released after
-			// the Put below (deferred, so also on failure — a waiter then
-			// re-claims and re-simulates); a nil lease with a nil error means
-			// coordination is degraded and we simulate uncoordinated.
-			ent, adopted, lease, aerr := fc.Acquire(ctx, j.Key)
-			if aerr != nil {
-				return Result{}, aerr
-			}
-			if adopted {
-				return Result{Key: j.Key, Sim: ent.Sim, Derived: ent.Derived, Cached: true, Elapsed: time.Since(start)}, nil
-			}
-			if lease != nil {
-				defer lease.Release()
-			}
 		}
 	}
 	if j.Build == nil {
@@ -463,8 +442,8 @@ func (e *Engine) runJob(ctx context.Context, j Job) (res Result, err error) {
 		opts.RecordTaskStats = true
 	}
 	if e.jobTimeout > 0 {
-		// The timeout context is rooted at Background, not ctx: engine-level
-		// cancellation must keep taking effect only between jobs.
+		// Engine-level cancellation takes effect only between jobs; the
+		// timeout is the job's own.
 		tctx, cancel := context.WithTimeout(context.Background(), e.jobTimeout)
 		defer cancel()
 		opts.Cancel = tctx.Done()

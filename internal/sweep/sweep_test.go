@@ -231,6 +231,19 @@ func TestSpecExpansion(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsNegativeScale: a negative capacity scale is an error, for
+// grids and explicit points alike, rather than a silent unscaled run.
+func TestSpecRejectsNegativeScale(t *testing.T) {
+	grid := testSpec()
+	grid.Scale = -1
+	points := Spec{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 2}}, Scale: -1, Factory: testFactory}
+	for name, s := range map[string]Spec{"grid": grid, "points": points} {
+		if _, err := s.Jobs(); err == nil || !strings.Contains(err.Error(), "negative scale") {
+			t.Errorf("%s: Jobs with scale -1 = %v, want a negative-scale error", name, err)
+		}
+	}
+}
+
 func TestDefaultFactory(t *testing.T) {
 	if _, _, err := DefaultFactory("nope", config.MustDefault(2)); err == nil {
 		t.Fatalf("unknown workload should fail")

@@ -1,6 +1,7 @@
-// Package sweepsvc is the sweep engine as a long-running service: a
-// transport-neutral job server over sweep.Engine plus an HTTP/JSON binding
-// (see http.go) and a strict wire encoding of sweep grids (see wire.go).
+// Package sweepsvc is the sweep engine as a long-running, single-process
+// service: a transport-neutral job server over sweep.Engine plus an
+// HTTP/JSON binding (see http.go) whose requests are sweep.Specs (see
+// wire.go).
 //
 // The service exists for the shared-channel amortisation argument the
 // broadcast-scheduling literature makes: N clients asking for overlapping
@@ -53,7 +54,7 @@ type Options struct {
 	// means one second.
 	RetryAfter time.Duration
 	// Cache, when non-nil, memoises finished jobs across sweeps and (with
-	// a disk cache) across processes and service instances.
+	// a disk cache) across processes.
 	Cache sweep.Cache
 	// Metrics receives service and engine metrics.  Nil means a private
 	// registry (the service always accounts; Metrics only chooses where).

@@ -53,9 +53,41 @@ func TestWireJobsMatchSpecJobs(t *testing.T) {
 	}
 }
 
-// TestPointShardingPreservesKeys pins the property sweepctl's fan-out rests
-// on: expanding a grid to points and submitting each point individually
-// yields the same keys in the same positions as submitting the whole grid.
+// TestWireGraphReprReachesFactory: GraphRepr travels on the wire and
+// reaches the workload factory, so a compressed-representation grid keys
+// exactly as cmd/sweep -graph-repr compressed does.
+func TestWireGraphReprReachesFactory(t *testing.T) {
+	req := &Request{Workloads: []string{"bfs"}, Cores: []int{2}, Quick: true, GraphRepr: "compressed"}
+	wireJobs, err := req.Jobs()
+	if err != nil {
+		t.Fatalf("wire Jobs: %v", err)
+	}
+	spec := sweep.Spec{
+		Workloads: req.Workloads,
+		Cores:     req.Cores,
+		Quick:     true,
+		Factory:   experiments.Options{Quick: true, GraphRepr: "compressed"}.WorkloadFactory(),
+	}
+	specJobs, err := spec.Jobs()
+	if err != nil {
+		t.Fatalf("spec Jobs: %v", err)
+	}
+	if len(wireJobs) != len(specJobs) {
+		t.Fatalf("wire expands to %d jobs, spec to %d", len(wireJobs), len(specJobs))
+	}
+	for i := range wireJobs {
+		if wireJobs[i].Key != specJobs[i].Key {
+			t.Errorf("job %d: wire key %+v != spec key %+v", i, wireJobs[i].Key, specJobs[i].Key)
+		}
+	}
+	if !strings.Contains(wireJobs[0].Key.Params, "compressed") {
+		t.Errorf("params %q do not record the compressed representation", wireJobs[0].Key.Params)
+	}
+}
+
+// TestPointShardingPreservesKeys pins that the grid and point forms are one
+// expansion: the grid's points, each submitted on its own, yield the same
+// keys in the same positions as submitting the whole grid.
 func TestPointShardingPreservesKeys(t *testing.T) {
 	req := &Request{
 		Workloads:  []string{"mergesort"},
@@ -69,9 +101,15 @@ func TestPointShardingPreservesKeys(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full Jobs: %v", err)
 	}
-	points, err := req.ExpandPoints()
-	if err != nil {
-		t.Fatalf("ExpandPoints: %v", err)
+	// The grid's canonical order: topologies, then cores, then the
+	// sequential baseline followed by the schedulers.
+	var points []Point
+	for _, topo := range req.Topologies {
+		for _, cores := range req.Cores {
+			for _, sc := range []string{"seq", "pdf", "ws"} {
+				points = append(points, Point{Workload: "mergesort", Scheduler: sc, Topology: topo, Cores: cores})
+			}
+		}
 	}
 	if len(points) != len(full) {
 		t.Fatalf("%d points for %d jobs", len(points), len(full))
@@ -84,6 +122,15 @@ func TestPointShardingPreservesKeys(t *testing.T) {
 		}
 		if len(jobs) != 1 || jobs[0].Key != full[i].Key {
 			t.Errorf("point %d expands to key %+v, want %+v", i, jobs[0].Key, full[i].Key)
+		}
+	}
+	all, err := (&Request{Points: points, Quick: true}).Jobs()
+	if err != nil {
+		t.Fatalf("points Jobs: %v", err)
+	}
+	for i := range all {
+		if all[i].Key != full[i].Key {
+			t.Errorf("job %d: points key %+v != grid key %+v", i, all[i].Key, full[i].Key)
 		}
 	}
 }
@@ -118,6 +165,8 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown table", Request{Workloads: []string{"mergesort"}, Tables: []string{"90nm"}}, "90nm"},
 		{"bad topology", Request{Workloads: []string{"mergesort"}, Topologies: []string{"toroidal"}}, "toroidal"},
 		{"negative scale", Request{Workloads: []string{"mergesort"}, Scale: -1}, "scale"},
+		{"points negative scale", Request{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 2}}, Scale: -1}, "scale"},
+		{"bad graph repr", Request{Workloads: []string{"bfs"}, GraphRepr: "sparse"}, "sparse"},
 		{"points plus grid", Request{Workloads: []string{"mergesort"}, Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 2}}}, "mixes"},
 		{"point unknown workload", Request{Points: []Point{{Workload: "nope", Scheduler: "pdf", Cores: 2}}}, "nope"},
 		{"point bad cores", Request{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Cores: 3}}}, "3 cores"},
@@ -141,6 +190,7 @@ func TestValidateAccepts(t *testing.T) {
 	ok := []Request{
 		{Workloads: []string{"mergesort"}},
 		{Workloads: []string{"bfs"}, Schedulers: []string{"seq", "ws:nearest", "sb"}},
+		{Workloads: []string{"bfs"}, GraphRepr: "compressed"},
 		{Points: []Point{{Workload: "mergesort", Scheduler: "seq", Cores: 2}}},
 		{Points: []Point{{Workload: "mergesort", Scheduler: "pdf", Table: "45nm", Topology: "clustered:2", Cores: 8}}},
 	}
