@@ -37,8 +37,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_en
 
 const goldenFile = "testdata/golden_engine.txt"
 
-// goldenWorkloads are the DAG builders the engine is pinned on: one regular
-// divide-and-conquer benchmark and one irregular graph kernel, both small
+// goldenWorkloads are the DAG builders the engine is pinned on: regular
+// divide-and-conquer benchmarks and irregular graph kernels, all small
 // enough that the full matrix runs in seconds.
 func goldenWorkloads() []struct {
 	name  string
@@ -92,6 +92,21 @@ func goldenWorkloads() []struct {
 			d, _, err := workload.NewBFS(workload.BFSConfig{
 				Shape: workload.GraphShape{Family: "uniform", Vertices: 1 << 12, EdgesPerTask: 512,
 					Representation: "compressed"},
+			}).Build()
+			return d, err
+		}},
+		// The composite generators: hashjoin nests Interleave over Random
+		// and Scan streams, quicksort's leaves Repeat a Concat and its
+		// partitions Interleave two Scans.
+		{"hashjoin", func() (*dag.DAG, error) {
+			d, _, err := workload.NewHashJoin(workload.HashJoinConfig{
+				PartitionBytes: 1 << 20, SubPartitionBytes: 32 << 10,
+			}).Build()
+			return d, err
+		}},
+		{"quicksort", func() (*dag.DAG, error) {
+			d, _, err := workload.NewQuicksort(workload.QuicksortConfig{
+				Elements: 64 << 10, LeafElems: 2 << 10,
 			}).Build()
 			return d, err
 		}},
