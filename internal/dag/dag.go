@@ -9,13 +9,16 @@
 //
 // Workload generators construct DAGs by creating tasks in sequential
 // execution order and adding dependence edges; Validate checks that the edge
-// structure is acyclic and consistent with the sequential order.
+// structure is acyclic and consistent with the sequential order.  Record
+// then freezes a built DAG so that any number of runs can share it.
 package dag
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"cmpsched/internal/refs"
 )
@@ -42,7 +45,9 @@ type Task struct {
 	// work and depth computations.
 	Instrs int64
 	// Refs generates the task's memory references. Nil means the task
-	// performs no memory accesses (Instrs compute-only cycles).
+	// performs no memory accesses (Instrs compute-only cycles).  Once the
+	// DAG is recorded it is the task's interned *refs.Recorded; readers
+	// that share the DAG use DAG.TaskRefs instead of draining it.
 	Refs refs.Gen
 
 	// Preds and Succs are the dependence edges. A task is ready when all
@@ -72,6 +77,17 @@ type DAG struct {
 	tasks []*Task
 	// metrics holds workload-recorded scalar annotations (see RecordMetric).
 	metrics map[string]int64
+
+	once   sync.Once   // guards Record
+	frozen atomic.Bool // set by Record; the structure is read-only after
+}
+
+// mutable panics when d has been recorded: a recorded DAG may be in use by
+// concurrent runs, so changing its structure is a bug, not an error.
+func (d *DAG) mutable(op string) {
+	if d.frozen.Load() {
+		panic(fmt.Sprintf("dag: %s on recorded DAG %q", op, d.Name))
+	}
 }
 
 // RecordMetric attaches a named scalar annotation to the DAG — facts only
@@ -98,6 +114,7 @@ func New(name string) *DAG {
 // AddTask appends a task. Tasks must be created in sequential (1DF)
 // execution order: the n-th task created receives Seq = n.
 func (d *DAG) AddTask(name string, gen refs.Gen) *Task {
+	d.mutable("AddTask")
 	var instrs int64
 	if gen != nil {
 		instrs = gen.Instrs()
@@ -123,6 +140,7 @@ func (d *DAG) AddComputeTask(name string, instrs int64) *Task {
 // AddEdge records a dependence from task `from` to task `to` (to cannot
 // start until from completes). Self edges and duplicate edges are rejected.
 func (d *DAG) AddEdge(from, to TaskID) error {
+	d.mutable("AddEdge")
 	if !d.valid(from) || !d.valid(to) {
 		return fmt.Errorf("dag: edge %d->%d references unknown task (have %d tasks)", from, to, len(d.tasks))
 	}
@@ -305,8 +323,9 @@ func contains(ids []TaskID, id TaskID) bool {
 	return false
 }
 
-// ResetRefs rewinds every task's reference generator so the DAG can be
-// replayed by another simulation or profiling pass.
+// ResetRefs rewinds every task's Refs cursor, for callers that drain
+// Task.Refs themselves; the simulator and the profiler read TaskRefs and
+// never need it.
 func (d *DAG) ResetRefs() {
 	for _, t := range d.tasks {
 		if t.Refs != nil {

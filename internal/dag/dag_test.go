@@ -163,17 +163,15 @@ func TestResetRefsAllowsReplay(t *testing.T) {
 	d := New("t")
 	g := &refs.Scan{Base: 0, Bytes: 256, LineBytes: 64}
 	d.AddTask("scan", g)
+	buf := make([]refs.Ref, refs.BlockSize)
 	// Drain once.
-	for {
-		if _, ok := g.Next(); !ok {
-			break
-		}
+	for g.NextBlock(buf) > 0 {
 	}
-	if _, ok := g.Next(); ok {
+	if g.NextBlock(buf) != 0 {
 		t.Fatalf("generator should be exhausted")
 	}
 	d.ResetRefs()
-	if _, ok := g.Next(); !ok {
+	if g.NextBlock(buf) != 4 {
 		t.Fatalf("ResetRefs did not rewind the generator")
 	}
 }

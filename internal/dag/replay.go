@@ -2,72 +2,50 @@ package dag
 
 import "cmpsched/internal/refs"
 
-// Snapshot is an immutable recording of a DAG: every task's reference stream
-// drained into a content-addressed trace store (identical streams share one
-// arena), with the task and edge structure kept as a read-only template.
-// Instantiate stamps out independently simulatable copies, so a DAG that
-// would otherwise be rebuilt per run — the N scheduler x topology jobs of a
-// sweep, or repeated runs of one workload — is generated once and replayed
-// from recorded blocks thereafter.
+// Snapshot is a recorded DAG.  It exists so callers written against the
+// earlier template-and-instance API (the perfbench harness) keep building:
+// a recorded DAG is immutable and shared directly, so the template and its
+// instances are one and the same value.
+type Snapshot = DAG
+
+// Record freezes d: every task's reference stream is drained into store
+// (a private store when nil) and Task.Refs becomes the interned
+// refs.Recorded, so identical streams share one arena.  Only the first call
+// on a DAG records, into the store it names; later calls, and TaskRefs,
+// reuse that recording.  Record returns d.
 //
-// A Snapshot is safe for concurrent Instantiate calls.  The instances share
-// the template's edge slices and metrics map, which simulation never
-// mutates; each instance gets its own task structs and replay cursors, so
-// concurrent simulations of sibling instances never share generator state.
-type Snapshot struct {
-	name     string
-	tasks    []Task           // template structs; Refs nil (see recorded)
-	recorded []*refs.Recorded // per-task template cursors, nil for ref-less tasks
-	metrics  map[string]int64
-	store    *refs.TraceStore
-}
-
-// Record drains every reference stream of d into store (creating a private
-// store when nil) and returns the Snapshot.  d must be fully built: Record
-// shares its edge slices with the template, so adding edges to d afterwards
-// is not allowed.  d's generators are Reset after draining, and the recorded
-// streams replay them exactly, so instances simulate bit-identically to d.
-func Record(d *DAG, store *refs.TraceStore) *Snapshot {
-	if store == nil {
-		store = refs.NewTraceStore()
-	}
-	s := &Snapshot{
-		name:     d.Name,
-		tasks:    make([]Task, len(d.tasks)),
-		recorded: make([]*refs.Recorded, len(d.tasks)),
-		metrics:  d.metrics,
-		store:    store,
-	}
-	for i, t := range d.tasks {
-		s.tasks[i] = *t
-		if t.Refs != nil {
-			s.recorded[i] = store.Intern(t.Refs)
-			s.tasks[i].Refs = nil
+// Recording is what lets any number of simulations, profiles and goroutines
+// share d: each reads the immutable arenas through TaskRefs and keeps its
+// own position.  d must be fully built, since AddTask, AddEdge, Fork and
+// Join panic once it is recorded.  The recorded streams replay the original
+// generators exactly, so results are unchanged.
+func Record(d *DAG, store *refs.TraceStore) *DAG {
+	d.once.Do(func() {
+		if store == nil {
+			store = refs.NewTraceStore()
 		}
-	}
-	return s
-}
-
-// Instantiate returns a fresh DAG instance: new task structs with rewound
-// replay cursors over the shared arenas.  Instances are independent for
-// simulation purposes and may run concurrently with each other and with the
-// source DAG.
-func (s *Snapshot) Instantiate() *DAG {
-	tasks := make([]Task, len(s.tasks))
-	copy(tasks, s.tasks)
-	ptrs := make([]*Task, len(tasks))
-	for i := range tasks {
-		if r := s.recorded[i]; r != nil {
-			tasks[i].Refs = r.Clone()
+		for _, t := range d.tasks {
+			if t.Refs != nil {
+				t.Refs = store.Intern(t.Refs)
+			}
 		}
-		ptrs[i] = &tasks[i]
-	}
-	return &DAG{Name: s.name, tasks: ptrs, metrics: s.metrics}
+		d.frozen.Store(true)
+	})
+	return d
 }
 
-// NumTasks returns the number of tasks in the template.
-func (s *Snapshot) NumTasks() int { return len(s.tasks) }
+// Instantiate returns the receiver.  Like Snapshot it exists for the
+// perfbench harness: a recorded DAG needs no per-run copy.
+func (d *DAG) Instantiate() *DAG { return d }
 
-// Store returns the trace store backing the snapshot's arenas, for interning
-// further DAGs into the same store or reading sharing statistics.
-func (s *Snapshot) Store() *refs.TraceStore { return s.store }
+// TaskRefs returns task id's reference stream as a read-only slice of its
+// recorded arena (nil for a task without references), recording d into a
+// private store on first use.  It is safe for concurrent use and moves no
+// cursor, so every reader of a shared DAG sees the whole stream.
+func (d *DAG) TaskRefs(id TaskID) []refs.Ref {
+	Record(d, nil)
+	if r, ok := d.tasks[id].Refs.(*refs.Recorded); ok {
+		return r.Refs()
+	}
+	return nil
+}

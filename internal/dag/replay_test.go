@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"cmpsched/internal/refs"
@@ -26,9 +28,10 @@ func buildReplayFixture(t *testing.T) *DAG {
 	return d
 }
 
-// TestSnapshotInstantiateEquivalence pins that instances replicate the
-// template exactly: structure, totals, metrics, and every task's reference
-// stream.
+// TestSnapshotInstantiateEquivalence pins that recording changes nothing a
+// run can observe: structure, totals, metrics, and every task's reference
+// stream, read through TaskRefs and through the Task.Refs cursor alike.
+// Recording is in place, and Instantiate hands back the recorded DAG itself.
 func TestSnapshotInstantiateEquivalence(t *testing.T) {
 	src := buildReplayFixture(t)
 	wantStreams := make([][]refs.Ref, src.NumTasks())
@@ -37,85 +40,38 @@ func TestSnapshotInstantiateEquivalence(t *testing.T) {
 			wantStreams[i] = refs.Collect(task.Refs)
 		}
 	}
+	instrs, totalRefs := src.TotalInstrs(), src.TotalRefs()
 
 	snap := Record(src, nil)
-	if snap.NumTasks() != src.NumTasks() {
-		t.Fatalf("snapshot has %d tasks, want %d", snap.NumTasks(), src.NumTasks())
+	if snap != src || snap.Instantiate() != src {
+		t.Fatalf("Record and Instantiate must return the DAG itself")
 	}
-	inst := snap.Instantiate()
-	if err := inst.Validate(); err != nil {
-		t.Fatalf("instance invalid: %v", err)
+	if err := src.Validate(); err != nil {
+		t.Fatalf("recorded DAG invalid: %v", err)
 	}
-	if inst.Name != src.Name || inst.NumTasks() != src.NumTasks() {
-		t.Fatalf("instance shape (%q, %d), want (%q, %d)", inst.Name, inst.NumTasks(), src.Name, src.NumTasks())
+	if src.TotalInstrs() != instrs || src.TotalRefs() != totalRefs {
+		t.Fatalf("recording changed the totals")
 	}
-	if inst.TotalInstrs() != src.TotalInstrs() || inst.TotalRefs() != src.TotalRefs() {
-		t.Fatalf("instance totals differ from source")
+	if src.Metrics()["m"] != 7 {
+		t.Fatalf("recording lost metrics: %v", src.Metrics())
 	}
-	if inst.Metrics()["m"] != 7 {
-		t.Fatalf("instance lost metrics: %v", inst.Metrics())
-	}
-	for i, task := range inst.Tasks() {
-		want := src.Task(TaskID(i))
-		if task.Name != want.Name || task.Instrs != want.Instrs ||
-			len(task.Preds) != len(want.Preds) || len(task.Succs) != len(want.Succs) {
-			t.Fatalf("task %d structure differs: %+v vs %+v", i, task, want)
-		}
-		if (task.Refs == nil) != (want.Refs == nil) {
-			t.Fatalf("task %d ref-stream presence differs", i)
+	for i, task := range src.Tasks() {
+		got := src.TaskRefs(TaskID(i))
+		if !slices.Equal(got, wantStreams[i]) {
+			t.Fatalf("task %d: TaskRefs has %d refs, want %d", i, len(got), len(wantStreams[i]))
 		}
 		if task.Refs == nil {
 			continue
 		}
-		got := refs.Collect(task.Refs)
-		if len(got) != len(wantStreams[i]) {
-			t.Fatalf("task %d drained %d refs, want %d", i, len(got), len(wantStreams[i]))
+		if _, ok := task.Refs.(*refs.Recorded); !ok {
+			t.Fatalf("task %d: Refs is %T after Record, want *refs.Recorded", i, task.Refs)
 		}
-		for j := range got {
-			if got[j] != wantStreams[i][j] {
-				t.Fatalf("task %d ref %d = %+v, want %+v", i, j, got[j], wantStreams[i][j])
-			}
+		if got := refs.Collect(task.Refs); !slices.Equal(got, wantStreams[i]) {
+			t.Fatalf("task %d: recorded cursor drains %d refs, want %d", i, len(got), len(wantStreams[i]))
 		}
 	}
-}
-
-// TestSnapshotInstancesAreIndependent pins that sibling instances never share
-// cursor state: draining one must not move the other, and identical sibling
-// tasks share one interned arena.
-func TestSnapshotInstancesAreIndependent(t *testing.T) {
-	snap := Record(buildReplayFixture(t), nil)
-	i1, i2 := snap.Instantiate(), snap.Instantiate()
-
-	a1 := i1.Task(1).Refs
-	a2 := i2.Task(1).Refs
-	refs.Collect(a1) // fully drains and Resets via Collect
-	a1.Reset()
-	for k := 0; k < 3; k++ {
-		a1.Next()
-	}
-	got := refs.Collect(a2)
-	if int64(len(got)) != a2.Len() {
-		t.Fatalf("sibling cursor was disturbed: drained %d of %d", len(got), a2.Len())
-	}
-
-	// Tasks "a" and "b" emit identical streams; the snapshot's store interns
-	// them into one arena.
-	st := snap.Store().Stats()
-	if st.Unique >= st.Interned {
-		t.Fatalf("identical sibling tasks were not interned: %+v", st)
-	}
-	ra, ok1 := i1.Task(1).Refs.(*refs.Recorded)
-	rb, ok2 := i1.Task(2).Refs.(*refs.Recorded)
-	if !ok1 || !ok2 {
-		t.Fatalf("instance tasks are not Recorded streams")
-	}
-	if ra.Fingerprint() != rb.Fingerprint() {
-		t.Fatalf("identical tasks fingerprint differently")
-	}
-	ra.Reset()
-	rb.Reset()
-	sa, sb := ra.NextSlice(), rb.NextSlice()
-	if len(sa) == 0 || &sa[0] != &sb[0] {
+	// Tasks "a" and "b" emit identical streams and share one arena.
+	if sa, sb := src.TaskRefs(1), src.TaskRefs(2); len(sa) == 0 || &sa[0] != &sb[0] {
 		t.Fatalf("identical tasks do not share an arena")
 	}
 }
@@ -134,4 +90,77 @@ func TestRecordIntoSharedStore(t *testing.T) {
 	if after2 != after1 {
 		t.Fatalf("second recording grew the arena: %d -> %d bytes", after1, after2)
 	}
+}
+
+// TestRecordFirstStoreWins pins that a DAG is recorded once: a later Record
+// into another store, and TaskRefs, reuse the first recording.
+func TestRecordFirstStoreWins(t *testing.T) {
+	d := buildReplayFixture(t)
+	first, second := refs.NewTraceStore(), refs.NewTraceStore()
+	Record(d, first)
+	arena := d.TaskRefs(1)
+	Record(d, second)
+	if st := second.Stats(); st.Interned != 0 {
+		t.Fatalf("second Record interned %d streams, want none", st.Interned)
+	}
+	if got := d.TaskRefs(1); &got[0] != &arena[0] {
+		t.Fatalf("second Record replaced the recorded arena")
+	}
+	if st := first.Stats(); st.Interned != int64(d.NumTasks()) {
+		t.Fatalf("first store interned %d streams, want %d", st.Interned, d.NumTasks())
+	}
+}
+
+// TestRecordedDAGRejectsMutation pins that building on a recorded DAG fails
+// loudly instead of changing a structure concurrent runs may be reading.
+func TestRecordedDAGRejectsMutation(t *testing.T) {
+	d := buildReplayFixture(t)
+	d.TaskRefs(0) // records on first use
+	for name, mutate := range map[string]func(){
+		"AddTask":        func() { d.AddTask("x", refs.Compute{N: 1}) },
+		"AddComputeTask": func() { d.AddComputeTask("x", 1) },
+		"AddEdge":        func() { _ = d.AddEdge(0, 4) },
+		"Fork":           func() { d.Fork(1, 4) },
+		"Join":           func() { d.Join(4, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a recorded DAG did not panic", name)
+				}
+			}()
+			mutate()
+		}()
+	}
+	if d.NumTasks() != 5 || len(d.Task(0).Succs) != 3 {
+		t.Fatalf("a rejected mutation changed the DAG")
+	}
+}
+
+// TestTaskRefsConcurrentFirstUse reads one unrecorded DAG from many
+// goroutines at once (run under -race in CI): exactly one records it, and
+// every reader sees the full streams.
+func TestTaskRefsConcurrentFirstUse(t *testing.T) {
+	want := buildReplayFixture(t)
+	d := buildReplayFixture(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := TaskID(0); int(id) < d.NumTasks(); id++ {
+				if got := d.TaskRefs(id); int64(len(got)) != lenOf(want.Task(id).Refs) {
+					t.Errorf("task %d: %d refs, want %d", id, len(got), lenOf(want.Task(id).Refs))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func lenOf(g refs.Gen) int64 {
+	if g == nil {
+		return 0
+	}
+	return g.Len()
 }

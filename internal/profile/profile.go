@@ -220,12 +220,14 @@ type LruTree struct {
 func NewLruTree(cfg Config) *LruTree { return &LruTree{cfg: cfg.withDefaults()} }
 
 // ProfileDAG replays the DAG's tasks in sequential order and builds the
-// per-task histograms.  The DAG's reference generators are reset before and
-// after the pass.
+// per-task histograms.  It records d (dag.Record) and reads the recorded
+// streams without moving any cursor, so profiles and simulations may share
+// d concurrently.
 func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 	if err := l.cfg.Validate(); err != nil {
 		return nil, err
 	}
+	dag.Record(d, nil)
 	n := d.NumTasks()
 	if n == 0 {
 		return nil, fmt.Errorf("profile: empty DAG")
@@ -257,23 +259,15 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 
 	bit := newFenwick(int(totalRefs) + 1)
 	lines := make(map[uint64]lineState, 1<<16)
-	d.ResetRefs()
 	// Scratch map for accumulating one task's histogram before freezing
 	// it into a sorted slice.
 	scratch := make(map[uint64]int64)
 
 	var now int32
 	for _, task := range d.Tasks() {
-		if task.Refs == nil {
-			continue
-		}
 		clear(scratch)
 		var taskRefs int64
-		for {
-			r, ok := task.Refs.Next()
-			if !ok {
-				break
-			}
+		for _, r := range d.TaskRefs(task.ID) {
 			taskRefs++
 			now++
 			line := r.Addr / uint64(l.cfg.LineBytes)
@@ -307,6 +301,5 @@ func (l *LruTree) ProfileDAG(d *dag.DAG) (*Profile, error) {
 			pr.hist[task.ID] = entries
 		}
 	}
-	d.ResetRefs()
 	return pr, nil
 }

@@ -34,8 +34,8 @@ func NewSetAssoc(cfg Config, assoc int) *SetAssoc {
 // Config returns the profiling configuration.
 func (s *SetAssoc) Config() Config { return s.cfg }
 
-// Group measures the task range [first, last] by simulation. The DAG's
-// generators are reset before and after.
+// Group measures the task range [first, last] by simulation, reading the
+// DAG's recorded streams (dag.DAG.TaskRefs) without moving any cursor.
 func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error) {
 	if err := s.cfg.Validate(); err != nil {
 		return GroupStats{}, err
@@ -57,17 +57,8 @@ func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error)
 		caches[i] = c
 	}
 	distinct := make(map[uint64]struct{})
-	for id := first; id <= last && int(id) < d.NumTasks(); id++ {
-		task := d.Task(id)
-		if task == nil || task.Refs == nil {
-			continue
-		}
-		task.Refs.Reset()
-		for {
-			r, ok := task.Refs.Next()
-			if !ok {
-				break
-			}
+	for id := max(first, 0); id <= last && int(id) < d.NumTasks(); id++ {
+		for _, r := range d.TaskRefs(id) {
 			g.Refs++
 			distinct[r.Addr/uint64(s.cfg.LineBytes)] = struct{}{}
 			for i, c := range caches {
@@ -76,7 +67,6 @@ func (s *SetAssoc) Group(d *dag.DAG, first, last dag.TaskID) (GroupStats, error)
 				}
 			}
 		}
-		task.Refs.Reset()
 	}
 	g.DistinctLines = int64(len(distinct))
 	g.WorkingSetBytes = g.DistinctLines * s.cfg.LineBytes

@@ -6,16 +6,17 @@ import (
 	"cmpsched/internal/prng"
 )
 
-// Recorded replays a pre-materialized reference stream from an immutable
-// arena slice.  It is the content-addressed form of a stream: NextBlock is a
-// bounds-checked copy and NextSlice hands out the arena directly, with no
-// regeneration and no dispatch into the producer's walk code, and every
-// Recorded carries the canonical 64-bit fingerprint of its content.
+// Recorded is a pre-materialized reference stream over an immutable arena
+// slice: the content-addressed form of a stream, carrying the canonical
+// 64-bit fingerprint of its content.  Refs exposes the arena itself, which
+// is how the simulator and the profiler read it: any number of goroutines
+// may read one arena at once, each keeping its own position.
 //
-// Recorded values sharing one arena are produced by a TraceStore; the arena
-// is never written after construction, so any number of cursors (across
-// goroutines) may replay it concurrently as long as each cursor is used by
-// one goroutine at a time, like every other Gen.
+// A Recorded is also a Gen with a cursor of its own (NextBlock, NextSlice,
+// Reset), for callers that drain it like any other stream; that cursor
+// follows the Gen contract (one goroutine at a time), and Clone gives each
+// such caller an independent one.  Recorded values sharing one arena are
+// produced by a TraceStore.
 type Recorded struct {
 	refs   []Ref // immutable; shared by every cursor interned from one stream
 	tail   int64
@@ -23,13 +24,6 @@ type Recorded struct {
 	fp     uint64
 	pos    int
 }
-
-// Recorded serves both the simulator's block reader and its zero-copy slice
-// fast path.
-var (
-	_ Bulk   = (*Recorded)(nil)
-	_ Sliced = (*Recorded)(nil)
-)
 
 // refBytes is the in-memory footprint of one arena entry, used for the
 // store's arena-bytes accounting.
@@ -102,6 +96,10 @@ func (r *Recorded) Fingerprint() uint64 { return r.fp }
 // Tail returns the number of instructions retired after the final reference.
 func (r *Recorded) Tail() int64 { return r.tail }
 
+// Refs returns the whole recorded stream, independent of the cursor.  The
+// slice is the shared arena: callers must treat it as read-only.
+func (r *Recorded) Refs() []Ref { return r.refs }
+
 // Clone returns a fresh cursor over the same arena, positioned at the start.
 // Clones replay the identical stream and may be used concurrently with each
 // other (the arena is immutable; only each cursor's position is stateful).
@@ -118,17 +116,7 @@ func (r *Recorded) Instrs() int64 { return r.instrs }
 // Reset implements Gen.
 func (r *Recorded) Reset() { r.pos = 0 }
 
-// Next implements Gen.
-func (r *Recorded) Next() (Ref, bool) {
-	if r.pos >= len(r.refs) {
-		return Ref{}, false
-	}
-	ref := r.refs[r.pos]
-	r.pos++
-	return ref, true
-}
-
-// NextBlock implements Bulk: a bounds-checked copy out of the arena.
+// NextBlock implements Gen: a bounds-checked copy out of the arena.
 func (r *Recorded) NextBlock(buf []Ref) int {
 	n := copy(buf, r.refs[r.pos:])
 	r.pos += n

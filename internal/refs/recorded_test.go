@@ -2,6 +2,7 @@ package refs
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -44,17 +45,17 @@ func TestRecordedResetMidStream(t *testing.T) {
 
 	buf := make([]Ref, 3)
 	r.NextBlock(buf)
-	r.Next()
+	r.NextBlock(buf[:1])
 	r.Reset()
 	if got := drain(t, r); len(got) != len(want) {
 		t.Fatalf("post-Reset drain: %d refs, want %d", len(got), len(want))
 	}
 
 	r.Reset()
-	r.Next()
+	r.NextBlock(buf[:1])
 	rest := r.NextSlice()
 	if len(rest) != len(want)-1 {
-		t.Fatalf("NextSlice after one Next: %d refs, want %d", len(rest), len(want)-1)
+		t.Fatalf("NextSlice after one ref: %d refs, want %d", len(rest), len(want)-1)
 	}
 	for i := range rest {
 		if rest[i] != want[i+1] {
@@ -64,8 +65,8 @@ func TestRecordedResetMidStream(t *testing.T) {
 	if more := r.NextSlice(); len(more) != 0 {
 		t.Fatalf("second NextSlice returned %d refs, want 0", len(more))
 	}
-	if _, ok := r.Next(); ok {
-		t.Fatalf("Next after NextSlice exhaustion returned a ref")
+	if n := r.NextBlock(buf); n != 0 {
+		t.Fatalf("NextBlock after NextSlice exhaustion returned %d refs", n)
 	}
 	r.Reset()
 	if got := drain(t, r); len(got) != len(want) {
@@ -97,13 +98,16 @@ func TestCloneIndependentCursors(t *testing.T) {
 	want := drain(t, r.Clone())
 	var got []Ref
 	buf := make([]Ref, 7)
+	if !slices.Equal(r.Refs(), want) {
+		t.Fatalf("Refs() differs from the drained stream")
+	}
 	for {
 		n := a.NextBlock(buf)
 		if n == 0 {
 			break
 		}
 		got = append(got, buf[:n]...)
-		b.Next() // interleave the other cursor; it must not disturb a
+		b.NextBlock(buf[:1]) // interleave the other cursor; it must not disturb a
 	}
 	if len(got) != len(want) {
 		t.Fatalf("clone drained %d refs, want %d", len(got), len(want))
@@ -247,9 +251,7 @@ func TestTraceStoreConcurrentIntern(t *testing.T) {
 }
 
 func drainAll(g Gen) {
-	for {
-		if _, ok := g.Next(); !ok {
-			return
-		}
+	buf := make([]Ref, BlockSize)
+	for g.NextBlock(buf) > 0 {
 	}
 }

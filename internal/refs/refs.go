@@ -11,7 +11,11 @@
 // touched, which keeps traces compact while preserving miss behaviour.
 package refs
 
-import "cmpsched/internal/prng"
+import (
+	"slices"
+
+	"cmpsched/internal/prng"
+)
 
 // Ref is a single memory reference.
 type Ref struct {
@@ -26,10 +30,12 @@ type Ref struct {
 	Instrs int64
 }
 
-// Gen is a resettable stream of memory references.
+// Gen is a resettable stream of memory references, drained in blocks.
 //
 // Implementations are not safe for concurrent use; callers that replay a
-// stream several times must call Reset between iterations.
+// stream several times must call Reset between iterations.  Streams that
+// must be replayed concurrently are recorded once (TraceStore) and read as
+// immutable arenas instead.
 type Gen interface {
 	// Len returns the total number of references the stream produces.
 	Len() int64
@@ -38,83 +44,41 @@ type Gen interface {
 	Instrs() int64
 	// Reset rewinds the stream to its beginning.
 	Reset()
-	// Next returns the next reference. ok is false once the stream is
-	// exhausted.
-	Next() (r Ref, ok bool)
-}
-
-// Bulk is an optional extension of Gen for consumers that drain references
-// in blocks.  One NextBlock call replaces up to len(buf) dynamic-dispatch
-// Next calls, which is what lets the simulator's inner loop amortise
-// interface-method overhead across a whole block of references.
-//
-// NextBlock and Next may be mixed freely: both advance the same stream
-// position.  Every generator in this package implements Bulk; ReadBlock
-// adapts third-party Gens that do not.
-type Bulk interface {
-	Gen
 	// NextBlock fills buf with the stream's next references and returns
 	// the number produced.  When len(buf) > 0, a return of 0 means the
 	// stream is exhausted; a short (non-zero) return does not.
 	NextBlock(buf []Ref) int
 }
 
-// Sliced is an optional extension of Bulk for generators whose remaining
+// Sliced is an optional extension of Gen for generators whose remaining
 // stream is already resident in memory (Points, Recorded).  NextSlice hands
 // out the backing storage itself, so a consumer replays the whole stream
-// without a single copy — the simulator's fastest drain path.
+// without a single copy.
 //
-// NextSlice shares the stream position with Next and NextBlock: it returns
+// NextSlice shares the stream position with NextBlock: it returns
 // everything not yet consumed and advances the position to the end, so an
 // empty slice means the stream is exhausted.  Callers must treat the
 // returned slice as read-only; it remains valid across Reset.
 type Sliced interface {
-	Bulk
+	Gen
 	// NextSlice returns the stream's remaining references as a slice of the
 	// generator's backing storage and advances the position past them.
 	NextSlice() []Ref
 }
 
-// BlockSize is the batch size block-oriented consumers (the simulator, the
-// profiler's trace reader) use by default.  64 references amortise dispatch
-// to noise while keeping per-core buffers comfortably inside the host L1.
+// BlockSize is the batch size block-oriented readers use by default.  64
+// references amortise dispatch to noise while keeping a buffer comfortably
+// inside the host L1.
 const BlockSize = 64
 
-// ReadBlock fills buf from g: the Bulk fast path when g implements it, a
-// per-reference Next loop otherwise.  The fallback return contract is the
-// same as Bulk's — 0 from a non-empty buf means exhausted.
-func ReadBlock(g Gen, buf []Ref) int {
-	if b, ok := g.(Bulk); ok {
-		return b.NextBlock(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		buf[n] = r
-		n++
-	}
-	return n
-}
+// ReadBlock fills buf from g; it is g.NextBlock(buf), kept for callers
+// written against the older two-path interface.
+func ReadBlock(g Gen, buf []Ref) int { return g.NextBlock(buf) }
 
-// Every generator in this package implements Bulk, so the simulator's block
-// reader always takes the amortised path for repository workloads.
+// Resident generators serve the zero-copy slice path.
 var (
-	_ Bulk = Empty{}
-	_ Bulk = Compute{}
-	_ Bulk = (*Points)(nil)
-	_ Bulk = (*Scan)(nil)
-	_ Bulk = (*Strided)(nil)
-	_ Bulk = (*Random)(nil)
-	_ Bulk = (*Concat)(nil)
-	_ Bulk = (*Interleave)(nil)
-	_ Bulk = (*Repeat)(nil)
-	_ Bulk = (*WithTail)(nil)
-
-	// Resident generators also serve the zero-copy slice path.
 	_ Sliced = (*Points)(nil)
+	_ Sliced = (*Recorded)(nil)
 )
 
 // intn returns a uniform value in [0, n) drawn from r. n must be > 0.
@@ -151,10 +115,7 @@ func (Empty) Instrs() int64 { return 0 }
 // Reset implements Gen.
 func (Empty) Reset() {}
 
-// Next implements Gen.
-func (Empty) Next() (Ref, bool) { return Ref{}, false }
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (Empty) NextBlock([]Ref) int { return 0 }
 
 // Compute is a generator that retires instructions without touching memory.
@@ -172,10 +133,7 @@ func (c Compute) Instrs() int64 { return c.N }
 // Reset implements Gen.
 func (Compute) Reset() {}
 
-// Next implements Gen.
-func (Compute) Next() (Ref, bool) { return Ref{}, false }
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (Compute) NextBlock([]Ref) int { return 0 }
 
 // Points replays an explicit list of references.  It backs the graph
@@ -225,17 +183,7 @@ func (p *Points) Instrs() int64 { return p.Tail + p.refSum() }
 // Reset implements Gen.
 func (p *Points) Reset() { p.pos = 0 }
 
-// Next implements Gen.
-func (p *Points) Next() (Ref, bool) {
-	if p.pos >= len(p.Refs) {
-		return Ref{}, false
-	}
-	r := p.Refs[p.pos]
-	p.pos++
-	return r, true
-}
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (p *Points) NextBlock(buf []Ref) int {
 	n := copy(buf, p.Refs[p.pos:])
 	p.pos += n
@@ -300,22 +248,7 @@ func (s *Scan) Instrs() int64 { return s.Len() * s.InstrsPerRef }
 // Reset implements Gen.
 func (s *Scan) Reset() { s.pos = 0 }
 
-// Next implements Gen.
-func (s *Scan) Next() (Ref, bool) {
-	if s.pos >= s.Len() {
-		return Ref{}, false
-	}
-	lines := s.linesPerPass()
-	idx := s.pos % lines
-	s.pos++
-	return Ref{
-		Addr:   s.Base + uint64(idx*s.LineBytes),
-		Write:  s.Write,
-		Instrs: s.InstrsPerRef,
-	}, true
-}
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (s *Scan) NextBlock(buf []Ref) int {
 	total := s.Len()
 	lines := s.linesPerPass()
@@ -353,21 +286,7 @@ func (s *Strided) Instrs() int64 { return s.Count * s.InstrsPerRef }
 // Reset implements Gen.
 func (s *Strided) Reset() { s.pos = 0 }
 
-// Next implements Gen.
-func (s *Strided) Next() (Ref, bool) {
-	if s.pos >= s.Count {
-		return Ref{}, false
-	}
-	r := Ref{
-		Addr:   s.Base + uint64(s.pos*s.StrideBytes),
-		Write:  s.Write,
-		Instrs: s.InstrsPerRef,
-	}
-	s.pos++
-	return r, true
-}
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (s *Strided) NextBlock(buf []Ref) int {
 	n := 0
 	for n < len(buf) && s.pos < s.Count {
@@ -421,28 +340,7 @@ func (g *Random) lines() uint64 {
 	return uint64(n)
 }
 
-// Next implements Gen.
-func (g *Random) Next() (Ref, bool) {
-	if g.pos >= g.Count {
-		return Ref{}, false
-	}
-	if g.r == nil {
-		g.r = &prng.SplitMix64{State: g.Seed}
-	}
-	lb := g.LineBytes
-	if lb <= 0 {
-		lb = 64
-	}
-	line := intn(g.r, g.lines())
-	g.pos++
-	return Ref{
-		Addr:   g.Base + line*uint64(lb),
-		Write:  g.Write,
-		Instrs: g.InstrsPerRef,
-	}, true
-}
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (g *Random) NextBlock(buf []Ref) int {
 	if g.pos >= g.Count {
 		return 0
@@ -535,24 +433,13 @@ func (c *Concat) Reset() {
 	}
 }
 
-// Next implements Gen.
-func (c *Concat) Next() (Ref, bool) {
-	for c.idx < len(c.gens) {
-		if r, ok := c.gens[c.idx].Next(); ok {
-			return r, true
-		}
-		c.idx++
-	}
-	return Ref{}, false
-}
-
-// NextBlock implements Bulk: each child fills as much of the buffer as it
+// NextBlock implements Gen: each child fills as much of the buffer as it
 // can, and exhausted children advance the cursor, so one call typically
 // returns a full block even across child boundaries.
 func (c *Concat) NextBlock(buf []Ref) int {
 	n := 0
 	for n < len(buf) && c.idx < len(c.gens) {
-		k := ReadBlock(c.gens[c.idx], buf[n:])
+		k := c.gens[c.idx].NextBlock(buf[n:])
 		if k == 0 {
 			c.idx++
 			continue
@@ -565,10 +452,38 @@ func (c *Concat) NextBlock(buf []Ref) int {
 // Interleave alternates references from two generators (a, b, a, b, ...)
 // until both are exhausted.  It models loops that touch two structures per
 // iteration, such as a probe that reads an input record and then a hash
-// bucket.
+// bucket.  Each side is read ahead a block at a time, so A and B must be
+// distinct generators that nothing else drains.
 type Interleave struct {
 	A, B Gen
 	turn int
+	// ahead buffers each side's next block, so the per-reference
+	// alternation costs no dispatch into A or B.
+	ahead [2]lookahead
+}
+
+// lookahead is one side of an Interleave: a block read from the side's
+// generator and the position of its next unconsumed reference.
+type lookahead struct {
+	buf    []Ref // allocated on first use, at most BlockSize long
+	pos, n int
+}
+
+// next returns the side's next reference, refilling from g when the
+// buffered block is used up; ok is false once g is exhausted.
+func (l *lookahead) next(g Gen) (r Ref, ok bool) {
+	if l.pos == l.n {
+		if l.buf == nil {
+			l.buf = make([]Ref, max(1, min(BlockSize, g.Len())))
+		}
+		l.n, l.pos = g.NextBlock(l.buf), 0
+		if l.n == 0 {
+			return Ref{}, false
+		}
+	}
+	r = l.buf[l.pos]
+	l.pos++
+	return r, true
 }
 
 // NewInterleave returns an interleaving of a and b.
@@ -583,32 +498,27 @@ func (i *Interleave) Instrs() int64 { return i.A.Instrs() + i.B.Instrs() }
 // Reset implements Gen.
 func (i *Interleave) Reset() {
 	i.turn = 0
+	for s := range i.ahead {
+		i.ahead[s].pos, i.ahead[s].n = 0, 0
+	}
 	i.A.Reset()
 	i.B.Reset()
 }
 
-// Next implements Gen.
-func (i *Interleave) Next() (Ref, bool) {
-	first, second := i.A, i.B
-	if i.turn == 1 {
-		first, second = i.B, i.A
-	}
-	i.turn = 1 - i.turn
-	if r, ok := first.Next(); ok {
-		return r, true
-	}
-	return second.Next()
-}
-
-// NextBlock implements Bulk.  The alternation is inherently per-reference,
-// so the block is assembled by Next calls; the consumer still saves its own
-// per-reference dispatch on the outer stream.
+// NextBlock implements Gen.  Each output reference comes from the side
+// whose turn it is, or from the other side once that one is exhausted; the
+// turn flips on every reference either way.
 func (i *Interleave) NextBlock(buf []Ref) int {
+	gens := [2]Gen{i.A, i.B}
 	n := 0
 	for n < len(buf) {
-		r, ok := i.Next()
+		first := i.turn
+		i.turn = 1 - first
+		r, ok := i.ahead[first].next(gens[first])
 		if !ok {
-			break
+			if r, ok = i.ahead[1-first].next(gens[1-first]); !ok {
+				break
+			}
 		}
 		buf[n] = r
 		n++
@@ -639,25 +549,11 @@ func (r *Repeat) Reset() {
 	r.G.Reset()
 }
 
-// Next implements Gen.
-func (r *Repeat) Next() (Ref, bool) {
-	for r.round < r.Times {
-		if ref, ok := r.G.Next(); ok {
-			return ref, true
-		}
-		r.round++
-		if r.round < r.Times {
-			r.G.Reset()
-		}
-	}
-	return Ref{}, false
-}
-
-// NextBlock implements Bulk.
+// NextBlock implements Gen.
 func (r *Repeat) NextBlock(buf []Ref) int {
 	n := 0
 	for n < len(buf) && r.round < r.Times {
-		k := ReadBlock(r.G, buf[n:])
+		k := r.G.NextBlock(buf[n:])
 		if k == 0 {
 			r.round++
 			if r.round < r.Times {
@@ -689,43 +585,28 @@ func (w *WithTail) Instrs() int64 { return w.G.Instrs() + w.Tail }
 // Reset implements Gen.
 func (w *WithTail) Reset() { w.G.Reset() }
 
-// Next implements Gen.
-func (w *WithTail) Next() (Ref, bool) { return w.G.Next() }
-
-// NextBlock implements Bulk.
-func (w *WithTail) NextBlock(buf []Ref) int { return ReadBlock(w.G, buf) }
+// NextBlock implements Gen.
+func (w *WithTail) NextBlock(buf []Ref) int { return w.G.NextBlock(buf) }
 
 // Collect drains g and returns all of its references.  The generator is
-// Reset before and after collection.  Intended for tests and the profiler's
-// trace writer; not for very long streams.
+// Reset before and after collection.  It drains straight into the result's
+// spare capacity; the one slot beyond Len lets a stream that is longer than
+// it claims be collected in full rather than truncated.
 func Collect(g Gen) []Ref {
 	g.Reset()
-	out := make([]Ref, 0, g.Len())
+	out := make([]Ref, 0, g.Len()+1)
 	for {
-		r, ok := g.Next()
-		if !ok {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, BlockSize)
+		}
+		k := g.NextBlock(out[len(out):cap(out)])
+		if k == 0 {
 			break
 		}
-		out = append(out, r)
+		out = out[:len(out)+k]
 	}
 	g.Reset()
 	return out
-}
-
-// Count drains g counting references and instructions; it Resets g before
-// and after.
-func Count(g Gen) (refCount, instrs int64) {
-	g.Reset()
-	for {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		refCount++
-		instrs += r.Instrs
-	}
-	g.Reset()
-	return refCount, instrs
 }
 
 func max64(a, b int64) int64 {

@@ -1,20 +1,32 @@
 package refs
 
 import (
-	"cmpsched/internal/prng"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cmpsched/internal/prng"
 )
 
+// drain reads g to exhaustion in blocks of 5 references, a size that
+// divides none of the fixtures' lengths, so short final blocks are covered.
 func drain(t *testing.T, g Gen) []Ref {
 	t.Helper()
+	return drainBlocks(t, g, 5)
+}
+
+// drainBlocks reads g to exhaustion through NextBlock with a bs-sized
+// buffer.
+func drainBlocks(t *testing.T, g Gen, bs int) []Ref {
+	t.Helper()
 	var out []Ref
+	buf := make([]Ref, bs)
 	for {
-		r, ok := g.Next()
-		if !ok {
+		n := g.NextBlock(buf)
+		if n == 0 {
 			break
 		}
-		out = append(out, r)
+		out = append(out, buf[:n]...)
 		if len(out) > 1<<22 {
 			t.Fatalf("generator did not terminate")
 		}
@@ -27,8 +39,8 @@ func TestEmpty(t *testing.T) {
 	if g.Len() != 0 || g.Instrs() != 0 {
 		t.Fatalf("Empty should have no refs or instrs")
 	}
-	if _, ok := g.Next(); ok {
-		t.Fatalf("Empty.Next returned a ref")
+	if n := g.NextBlock(make([]Ref, 4)); n != 0 {
+		t.Fatalf("Empty.NextBlock returned %d refs", n)
 	}
 }
 
@@ -40,8 +52,8 @@ func TestCompute(t *testing.T) {
 	if g.Instrs() != 123 {
 		t.Fatalf("Compute.Instrs = %d, want 123", g.Instrs())
 	}
-	if _, ok := g.Next(); ok {
-		t.Fatalf("Compute.Next returned a ref")
+	if n := g.NextBlock(make([]Ref, 4)); n != 0 {
+		t.Fatalf("Compute.NextBlock returned %d refs", n)
 	}
 }
 
@@ -232,6 +244,46 @@ func TestInterleave(t *testing.T) {
 	}
 }
 
+// TestInterleaveMatchesAlternation pins Interleave's read-ahead against a
+// reference alternation that takes one reference at a time from each side,
+// with sides longer than a block and of unequal lengths, nested, at every
+// output block size, and across a Reset taken mid-stream.
+func TestInterleaveMatchesAlternation(t *testing.T) {
+	sideA := func() Gen {
+		return &Random{Base: 1 << 22, Bytes: 1 << 14, LineBytes: 64, Count: 150, Seed: 5, InstrsPerRef: 1}
+	}
+	sideB := func() Gen { return NewScan(1<<20, 64*40, 64, 2) }
+	want := alternate(t, alternate(t, drainBlocks(t, sideA(), 1), drainBlocks(t, sideB(), 1)),
+		drainBlocks(t, NewRepeat(NewScan(1<<24, 64*3, 64, 0), 70), 1))
+	mk := func() Gen {
+		return NewInterleave(NewInterleave(sideA(), sideB()), NewRepeat(NewScan(1<<24, 64*3, 64, 0), 70))
+	}
+	for _, bs := range []int{1, 7, BlockSize, 1000} {
+		g := mk()
+		drainBlocks(t, g, 3)
+		g.Reset()
+		if got := drainBlocks(t, g, bs); !slices.Equal(got, want) {
+			t.Fatalf("bs=%d: interleave drained %d refs, differing from the reference alternation of %d", bs, len(got), len(want))
+		}
+	}
+}
+
+// alternate is the reference Interleave: a, b, a, b, ... one reference at a
+// time, then the rest of whichever side is longer.
+func alternate(t *testing.T, a, b []Ref) []Ref {
+	t.Helper()
+	out := make([]Ref, 0, len(a)+len(b))
+	for i := 0; i < len(a) || i < len(b); i++ {
+		if i < len(a) {
+			out = append(out, a[i])
+		}
+		if i < len(b) {
+			out = append(out, b[i])
+		}
+	}
+	return out
+}
+
 func TestRepeat(t *testing.T) {
 	inner := &Strided{Base: 0, StrideBytes: 64, Count: 3, InstrsPerRef: 2}
 	g := NewRepeat(inner, 4)
@@ -265,46 +317,72 @@ func TestWithTail(t *testing.T) {
 	}
 }
 
+// TestCollectAndCount collects a stream and counts what came back: the
+// references and their instruction total, and that the generator is left
+// rewound.
 func TestCollectAndCount(t *testing.T) {
 	g := &Scan{Base: 0, Bytes: 512, LineBytes: 64, InstrsPerRef: 3}
 	rs := Collect(g)
-	if len(rs) != 8 {
-		t.Fatalf("Collect returned %d refs, want 8", len(rs))
+	var instrs int64
+	for _, r := range rs {
+		instrs += r.Instrs
 	}
-	n, instrs := Count(g)
-	if n != 8 || instrs != 24 {
-		t.Fatalf("Count = (%d, %d), want (8, 24)", n, instrs)
+	if len(rs) != 8 || instrs != 24 {
+		t.Fatalf("Collect returned %d refs retiring %d instructions, want 8 and 24", len(rs), instrs)
 	}
-	// Collect/Count must leave the generator usable.
 	if len(drain(t, g)) != 8 {
-		t.Fatalf("generator not reset after Collect/Count")
+		t.Fatalf("generator not reset after Collect")
 	}
 }
 
-// Property: for every generator construction, the number of refs drained
-// equals Len() and the drained instruction total never exceeds Instrs().
+// longerThanLen claims fewer references than it produces.
+type longerThanLen struct{ Scan }
+
+func (g *longerThanLen) Len() int64 { return g.Scan.Len() - 3 }
+
+// TestCollectKeepsStreamLongerThanLen pins that Collect drains to
+// exhaustion rather than trusting Len.
+func TestCollectKeepsStreamLongerThanLen(t *testing.T) {
+	g := &longerThanLen{Scan{Base: 0, Bytes: 64 * 200, LineBytes: 64, InstrsPerRef: 1}}
+	if got := len(Collect(g)); got != 200 {
+		t.Fatalf("Collect returned %d refs, want 200", got)
+	}
+}
+
+// Property: for every generator construction and every buffer size (one
+// reference, a size dividing no stream evenly, and BlockSize), the number
+// of refs drained equals Len(), the drained instruction total never exceeds
+// Instrs(), and every buffer size drains the same sequence.
 func TestPropertyLenMatchesDrain(t *testing.T) {
 	f := func(baseSeed uint64, nSmall uint8, stride uint8, passes uint8) bool {
 		n := int64(nSmall%64) + 1
 		st := int64(stride%8+1) * 64
 		p := int(passes%3) + 1
-		gens := []Gen{
-			&Scan{Base: baseSeed % (1 << 30), Bytes: n * 64, LineBytes: 64, InstrsPerRef: 2, Passes: p},
-			&Strided{Base: baseSeed % (1 << 30), StrideBytes: st, Count: n, InstrsPerRef: 1},
-			&Random{Base: baseSeed % (1 << 30), Bytes: n * 256, LineBytes: 64, Count: n, Seed: baseSeed},
-		}
-		all := NewConcat(gens...)
-		var count, instrs int64
-		all.Reset()
-		for {
-			r, ok := all.Next()
-			if !ok {
-				break
+		base := baseSeed % (1 << 30)
+		all := NewConcat(
+			&Scan{Base: base, Bytes: n * 64, LineBytes: 64, InstrsPerRef: 2, Passes: p},
+			&Strided{Base: base, StrideBytes: st, Count: n, InstrsPerRef: 1},
+			&Random{Base: base, Bytes: n * 256, LineBytes: 64, Count: n, Seed: baseSeed},
+			NewInterleave(NewScan(base, n*64, 64, 1), NewRepeat(&Strided{Base: base, StrideBytes: st, Count: n}, p)),
+		)
+		var first []Ref
+		for _, bs := range []int{1, 7, BlockSize} {
+			all.Reset()
+			rs := drainBlocks(t, all, bs)
+			var instrs int64
+			for _, r := range rs {
+				instrs += r.Instrs
 			}
-			count++
-			instrs += r.Instrs
+			if int64(len(rs)) != all.Len() || instrs > all.Instrs() {
+				return false
+			}
+			if first == nil {
+				first = rs
+			} else if !slices.Equal(rs, first) {
+				return false
+			}
 		}
-		return count == all.Len() && instrs <= all.Instrs()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -356,9 +434,9 @@ func TestRNGIntnRange(t *testing.T) {
 	}
 }
 
-// bulkFixtures builds one instance of every generator shape for the Bulk
+// bulkFixtures builds one instance of every generator shape for the block
 // contract tests.  Each entry is a factory so tests can build independent
-// identical streams for Next-vs-NextBlock comparison.
+// identical streams.
 func bulkFixtures() map[string]func() Gen {
 	points := func() Gen {
 		rs := make([]Ref, 0, 200)
@@ -399,123 +477,41 @@ func bulkFixtures() map[string]func() Gen {
 	}
 }
 
-// TestAllGeneratorsImplementBulk pins the package invariant the simulator's
-// batched reader relies on: every generator here has a native NextBlock.
+// TestAllGeneratorsImplementBulk pins the block contract every generator
+// here implements natively: each drains the same sequence at every buffer
+// size, fills the buffer fully until its final block, reports exhaustion
+// with 0 and keeps doing so, and an empty buffer neither advances the
+// stream nor signals exhaustion.
 func TestAllGeneratorsImplementBulk(t *testing.T) {
 	for name, mk := range bulkFixtures() {
-		if _, ok := mk().(Bulk); !ok {
-			t.Errorf("%s: does not implement Bulk", name)
-		}
-	}
-}
-
-// TestNextBlockMatchesNext drains each generator per-reference and in blocks
-// of several sizes (including 1 and a non-divisor of the stream length) and
-// requires identical reference sequences.
-func TestNextBlockMatchesNext(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		want := drain(t, mk())
-		for _, bs := range []int{1, 3, BlockSize, 1000} {
+		want := drainBlocks(t, mk(), 1)
+		for _, bs := range []int{3, BlockSize, 1000} {
 			g := mk()
+			if n := g.NextBlock(nil); n != 0 {
+				t.Fatalf("%s: NextBlock(nil) = %d", name, n)
+			}
 			var got []Ref
 			buf := make([]Ref, bs)
 			for {
-				n := ReadBlock(g, buf)
+				n := g.NextBlock(buf)
 				if n == 0 {
 					break
 				}
-				got = append(got, buf[:n]...)
-				if len(got) > 1<<22 {
-					t.Fatalf("%s: block drain did not terminate", name)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s bs=%d: %d refs via blocks, %d via Next", name, bs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s bs=%d: ref %d = %+v via blocks, %+v via Next", name, bs, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestNextBlockMixesWithNext checks the two drain styles share one stream
-// position, and that Reset rewinds the blocked stream too.
-func TestNextBlockMixesWithNext(t *testing.T) {
-	for name, mk := range bulkFixtures() {
-		want := drain(t, mk())
-		g := mk()
-		var got []Ref
-		buf := make([]Ref, 5)
-		for turn := 0; ; turn++ {
-			if turn%2 == 0 {
-				r, ok := g.Next()
-				if !ok {
-					break
-				}
-				got = append(got, r)
-			} else {
-				n := ReadBlock(g, buf)
-				if n == 0 {
-					break
+				if n < bs && len(got)+n != len(want) {
+					t.Fatalf("%s bs=%d: short block of %d refs at %d of %d", name, bs, n, len(got), len(want))
 				}
 				got = append(got, buf[:n]...)
 			}
-		}
-		// A Next-exhaustion on an even turn can end the loop while block
-		// reads would still return data or vice versa; both styles agree on
-		// exhaustion, so the full sequence must have been consumed either way.
-		if len(got) != len(want) {
-			t.Fatalf("%s: mixed drain produced %d refs, want %d", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: mixed drain ref %d = %+v, want %+v", name, i, got[i], want[i])
+			if g.NextBlock(buf) != 0 {
+				t.Fatalf("%s bs=%d: refs after exhaustion", name, bs)
 			}
-		}
-		g.Reset()
-		again := drain(t, g)
-		if len(again) != len(want) {
-			t.Fatalf("%s: post-Reset drain produced %d refs, want %d", name, len(again), len(want))
-		}
-	}
-}
-
-// TestReadBlockFallback exercises the adapter path for a Gen that does not
-// implement Bulk.
-type nextOnlyGen struct{ s Scan }
-
-func (g *nextOnlyGen) Len() int64        { return g.s.Len() }
-func (g *nextOnlyGen) Instrs() int64     { return g.s.Instrs() }
-func (g *nextOnlyGen) Reset()            { g.s.Reset() }
-func (g *nextOnlyGen) Next() (Ref, bool) { return g.s.Next() }
-
-func TestReadBlockFallback(t *testing.T) {
-	mk := func() Gen {
-		return &nextOnlyGen{s: Scan{Base: 4096, Bytes: 1000, LineBytes: 64, InstrsPerRef: 2, Passes: 2}}
-	}
-	if _, ok := mk().(Bulk); ok {
-		t.Fatalf("fixture unexpectedly implements Bulk")
-	}
-	want := drain(t, mk())
-	g := mk()
-	buf := make([]Ref, 7)
-	var got []Ref
-	for {
-		n := ReadBlock(g, buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fallback drained %d refs, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("fallback ref %d = %+v, want %+v", i, got[i], want[i])
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s bs=%d: %d refs, differing from the one-at-a-time drain of %d", name, bs, len(got), len(want))
+			}
+			g.Reset()
+			if again := drainBlocks(t, g, bs); !slices.Equal(again, want) {
+				t.Fatalf("%s bs=%d: post-Reset drain differs", name, bs)
+			}
 		}
 	}
 }

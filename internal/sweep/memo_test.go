@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"cmpsched/internal/cmpsim"
+	"cmpsched/internal/dag"
 	"cmpsched/internal/obs"
 	"cmpsched/internal/sched"
 )
@@ -38,10 +40,10 @@ func runDirect(t *testing.T, j Job) *cmpsim.Result {
 }
 
 // TestSharedTraceStoreByteIdentical pins the memoisation soundness claim: a
-// sweep whose jobs share memoised DAG templates (and, concurrently, one
-// trace store) produces byte-identical simulator results to rebuilding every
-// DAG from scratch, at any worker count.  Run under -race this also
-// exercises concurrent Instantiate against one store.
+// sweep whose jobs share memoised DAGs (and, concurrently, one trace store)
+// produces byte-identical simulator results to rebuilding every DAG from
+// scratch, at any worker count.  Run under -race this also exercises
+// concurrent simulations of one recorded DAG.
 func TestSharedTraceStoreByteIdentical(t *testing.T) {
 	jobs, err := testSpec().Jobs()
 	if err != nil {
@@ -87,22 +89,54 @@ func TestSharedTraceStoreByteIdentical(t *testing.T) {
 
 // TestMemoizedBuildRunsOncePerTemplate pins the single-flight contract: the
 // engine calls Build once per (workload, params, config) triple no matter
-// how many schedulers fan out from it or how many workers race.
+// how many schedulers fan out from it or how many workers race, and every
+// job of the triple simulates the very DAG that one Build returned.
 func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 	jobs, err := testSpec().Jobs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	templates := make(map[string]bool)
+	var mu sync.Mutex
+	built := make(map[string][]*dag.DAG)     // template -> DAGs Build returned
+	simulated := make(map[string][]*dag.DAG) // template -> DAG each job ran
 	for i := range jobs {
-		templates[templateKey(jobs[i].Key)] = true
+		key := templateKey(jobs[i].Key)
+		build := jobs[i].Build
+		jobs[i].Build = func() (*dag.DAG, error) {
+			d, err := build()
+			mu.Lock()
+			built[key] = append(built[key], d)
+			mu.Unlock()
+			return d, err
+		}
+		jobs[i] = jobs[i].WithDerive("dag", func(d *dag.DAG, _ *cmpsim.Result) (map[string]int64, error) {
+			mu.Lock()
+			simulated[key] = append(simulated[key], d)
+			mu.Unlock()
+			return nil, nil
+		})
 	}
 	reg := obs.NewRegistry()
 	e := NewEngine(EngineOptions{Workers: 8, Metrics: reg})
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(templates)) {
-		t.Fatalf("builds = %d, want one per template = %d", builds, len(templates))
+	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(built)) {
+		t.Fatalf("builds = %d, want one per template = %d", builds, len(built))
+	}
+	runs := 0
+	for key, ds := range simulated {
+		if len(built[key]) != 1 {
+			t.Fatalf("template %q built %d times, want once", key, len(built[key]))
+		}
+		for _, d := range ds {
+			if d != built[key][0] {
+				t.Fatalf("template %q: a job simulated %p, not the one built DAG %p", key, d, built[key][0])
+			}
+		}
+		runs += len(ds)
+	}
+	if runs != len(jobs) {
+		t.Fatalf("%d jobs simulated, want %d", runs, len(jobs))
 	}
 }

@@ -187,12 +187,12 @@ type Engine struct {
 	jobTimeout time.Duration
 	em         engineMetrics
 
-	// snapshots memoises DAG templates by (workload, params, config); the
+	// templates memoises recorded DAGs by (workload, params, config); the
 	// recorded reference streams live in traces, one shared read-only store
 	// for the whole engine.  See memo.go.
-	snapMu    sync.Mutex
-	snapshots map[string]*snapshotEntry
-	traces    *refs.TraceStore
+	templateMu sync.Mutex
+	templates  map[string]*templateEntry
+	traces     *refs.TraceStore
 }
 
 // EngineOptions configure an Engine.
@@ -230,7 +230,7 @@ type engineMetrics struct {
 	memFetches                         *obs.ShardedCounter
 	// dagBuilds counts DAG templates actually built; dagShared counts jobs
 	// served from a memoised template instead (see memo.go).  Both are
-	// incremented once-per-key-event under the snapshot lock's ordering, so
+	// incremented once-per-key-event under the template lock's ordering, so
 	// their totals are worker-count independent like everything else here.
 	dagBuilds, dagShared *obs.ShardedCounter
 	// Trace-interning totals of the engine's shared store, set when a
@@ -286,7 +286,7 @@ func NewEngine(opts EngineOptions) *Engine {
 		cache:      opts.Cache,
 		jobTimeout: opts.JobTimeout,
 		em:         newEngineMetrics(opts.Metrics, w),
-		snapshots:  make(map[string]*snapshotEntry),
+		templates:  make(map[string]*templateEntry),
 		traces:     refs.NewTraceStore(),
 	}
 }
@@ -424,7 +424,7 @@ func (e *Engine) runJob(j Job) (res Result, err error) {
 	if j.Build == nil {
 		return Result{}, fmt.Errorf("job has no build function")
 	}
-	d, err := e.instantiate(j)
+	d, err := e.template(j)
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,8 +327,8 @@ func TestHeatStructure(t *testing.T) {
 }
 
 func TestReferenceStreamsAreReplayable(t *testing.T) {
-	// The simulator and the profiler replay the same DAG; generators must
-	// produce identical streams after ResetRefs.
+	// Recording drains each generator once; Reset must replay it
+	// identically.
 	d, _, err := tinyMergesort().Build()
 	if err != nil {
 		t.Fatal(err)
@@ -381,18 +382,27 @@ func TestUnknownWorkloadErrorListsNames(t *testing.T) {
 	}
 }
 
-// TestWorkloadGeneratorsImplementBulk pins the contract the simulator's
-// batched reference reader relies on: every task generator a workload emits
-// supports refs.Bulk natively, so the hot loop never falls back to
-// per-reference dynamic dispatch.  A representative regular, irregular and
-// stencil workload stand in for the full registry (all workloads compose
-// the same refs generators, each of which asserts Bulk at compile time).
+// TestWorkloadGeneratorsImplementBulk pins the block contract on the
+// generators workloads actually emit: each task's stream drains the same
+// sequence one reference at a time as in BlockSize blocks, and as many
+// references as its Len.  A representative regular, irregular and stencil
+// workload stand in for the full registry (all workloads compose the same
+// refs generators).
 func TestWorkloadGeneratorsImplementBulk(t *testing.T) {
 	builds := map[string]Workload{
 		"mergesort": NewMergesort(MergesortConfig{Elements: 4 << 10, TaskWorkingSetBytes: 1 << 10}),
 		"hashjoin":  NewHashJoin(HashJoinConfig{PartitionBytes: 1 << 20, SubPartitionBytes: 64 << 10}),
 		"heat":      NewHeat(HeatConfig{Rows: 64, Cols: 64, Steps: 2}),
 		"bfs":       NewBFS(BFSConfig{Shape: GraphShape{Family: "uniform", Vertices: 1 << 10}}),
+	}
+	drain := func(g refs.Gen, bs int) []refs.Ref {
+		g.Reset()
+		var out []refs.Ref
+		buf := make([]refs.Ref, bs)
+		for n := g.NextBlock(buf); n > 0; n = g.NextBlock(buf) {
+			out = append(out, buf[:n]...)
+		}
+		return out
 	}
 	for name, w := range builds {
 		d, _, err := w.Build()
@@ -403,8 +413,10 @@ func TestWorkloadGeneratorsImplementBulk(t *testing.T) {
 			if task.Refs == nil {
 				continue
 			}
-			if _, ok := task.Refs.(refs.Bulk); !ok {
-				t.Fatalf("%s: task %q generator %T does not implement refs.Bulk", name, task.Name, task.Refs)
+			one, block := drain(task.Refs, 1), drain(task.Refs, refs.BlockSize)
+			if int64(len(block)) != task.Refs.Len() || !slices.Equal(one, block) {
+				t.Fatalf("%s: task %q generator %T drains %d refs one at a time and %d in blocks, Len %d",
+					name, task.Name, task.Refs, len(one), len(block), task.Refs.Len())
 			}
 		}
 	}
