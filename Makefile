@@ -4,7 +4,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: all build test race-sweep fuzz-decoder fuzz-request fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
+.PHONY: all build test race-sweep fuzz-decoder fuzz-request fuzz-diskcache fuzz-cache doc-check vet fmt-check lint bench bench-gate bench-quick ci clean
 
 all: build
 
@@ -17,11 +17,14 @@ test:
 # The concurrent pieces — the sweep engine's worker pool, the scheduler
 # registry (Register/New may race against running sweeps), the metrics
 # registry's sharded counters, the sweep service's single-flight dedup, the
-# filesystem fault shim the disk cache is tested through, and the graph
-# kernels (whose DAG builders sweeps run concurrently) — run under the race
-# detector (CI runs this step too).
+# filesystem fault shim the disk cache is tested through, the graph kernels
+# (whose DAG builders sweeps run concurrently), and the shared recorded DAG
+# (the trace store, dag.Record, and the simulator and profiler reading one
+# DAG from many goroutines) — run under the race detector.  CI runs this
+# target.
 race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/...
+	$(GO) test -race ./internal/sweep/... ./internal/sched/... ./internal/obs/... ./internal/sweepsvc/... ./internal/faultinject/... ./internal/graph/... \
+		./internal/refs/... ./internal/dag/... ./internal/cmpsim/... ./internal/profile/...
 
 # 30-second crash hunt on the varint-delta adjacency decoder (the committed
 # corpus under internal/graph/testdata/fuzz replays in plain `go test`; this
@@ -36,6 +39,14 @@ fuzz-decoder:
 # step too.
 fuzz-request:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime 30s ./internal/sweepsvc
+
+# 30-second crash hunt on the disk cache's entry decoding: arbitrary bytes
+# as an entry file must read back as a miss or as a whole entry for the
+# right key, never panic (the committed corpus under
+# internal/sweep/testdata/fuzz replays in plain `go test`).  CI runs this
+# step too.
+fuzz-diskcache:
+	$(GO) test -run '^$$' -fuzz 'FuzzDiskCacheGet$$' -fuzztime 30s ./internal/sweep
 
 # 30-second differential hunt on the cache model: random operation streams
 # through the recency-ordered Cache and the timestamp-LRU reference kept in

@@ -86,8 +86,8 @@ func (c *MemoryCache) Len() int {
 // repeated sweeps across invocations are near-instant.
 //
 // Corrupt entries — truncated files from a killed writer, garbage from a
-// damaged disk, or an entry whose embedded key does not match its address —
-// are tolerated: Get logs (when a logger is set) and reports a miss, the job
+// damaged disk, an entry without a result, or an entry whose embedded key
+// does not match its address — are tolerated: Get logs (when a logger is set) and reports a miss, the job
 // recomputes, and the following Put overwrites the bad file.  A shared disk
 // cache therefore degrades to recomputation, never to failed jobs.
 //
@@ -227,6 +227,15 @@ func (c *DiskCache) Get(k Key) (Entry, bool) {
 		// resulting Put overwrites the corrupt entry.
 		if c.logf != nil {
 			c.logf("sweep: cache: corrupt entry %s (%d bytes): %v; recomputing", c.path(k), len(data), err)
+		}
+		c.misses.Add(1)
+		return Entry{}, false
+	}
+	if e.Sim == nil {
+		// Parseable but empty ("sim":null or no "sim" at all): serving it
+		// would hand the engine a row without a result.
+		if c.logf != nil {
+			c.logf("sweep: cache: entry %s has no result; recomputing", c.path(k))
 		}
 		c.misses.Add(1)
 		return Entry{}, false

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -225,6 +226,60 @@ func TestDiskCacheWrongKeyEntryLogsAndMisses(t *testing.T) {
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "holds key") {
 		t.Fatalf("mismatched entry must be logged once, got %q", logs)
+	}
+}
+
+// TestDiskCacheNullResultLogsAndRecomputes covers an entry that parses and
+// carries the right key but no result ("sim":null): it must miss and be
+// logged, the job must recompute, and the recomputation's Put must replace
+// the file with a whole entry.
+func TestDiskCacheNullResultLogsAndRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatalf("Jobs: %v", err)
+	}
+	jobs = jobs[:1]
+	key := jobs[0].Key
+	c, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatalf("NewDiskCache: %v", err)
+	}
+	data, err := json.Marshal(Entry{Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"sim":null`) {
+		t.Fatalf("fixture %s does not carry a null result", data)
+	}
+	if err := os.WriteFile(c.path(key), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs []string
+	c.SetLogf(func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) })
+	if e, ok := c.Get(key); ok {
+		t.Fatalf("entry without a result served as a hit: %+v", e)
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], "no result") {
+		t.Fatalf("entry without a result must be logged once, got %q", logs)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("Stats = %d hits, %d misses; want 0, 1", hits, misses)
+	}
+
+	got, err := NewEngine(EngineOptions{Workers: 1, Cache: c}).Run(jobs)
+	if err != nil {
+		t.Fatalf("recompute: %v", err)
+	}
+	if got[0].Cached || got[0].Sim == nil {
+		t.Fatalf("job was not recomputed: cached=%t sim=%v", got[0].Cached, got[0].Sim)
+	}
+	fresh, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatalf("NewDiskCache: %v", err)
+	}
+	if e, ok := fresh.Get(key); !ok || e.Sim == nil || e.Sim.Cycles != got[0].Sim.Cycles {
+		t.Fatalf("recomputation did not overwrite the entry: ok=%t entry=%+v", ok, e)
 	}
 }
 

@@ -238,49 +238,98 @@ func (s Spec) points() ([]Point, error) {
 		}
 		return out, nil
 	}
-	schedulers := s.Schedulers
+	schedulers, tables, topologies := s.axes()
+	var out []Point
+	for _, wl := range s.Workloads {
+		for _, table := range tables {
+			cfgs, err := s.tableCores(table)
+			if err != nil {
+				return nil, err
+			}
+			for _, topo := range topologies {
+				for _, base := range cfgs {
+					for _, sc := range schedulers {
+						out = append(out, Point{Workload: wl, Scheduler: sc, Table: table, Topology: topo, Cores: base.Cores})
+					}
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// axes returns the grid's scheduler, table and topology axes with their
+// defaults filled in.
+func (s Spec) axes() (schedulers, tables, topologies []string) {
+	schedulers = s.Schedulers
 	if len(schedulers) == 0 {
 		schedulers = []string{"pdf", "ws"}
 	}
 	if s.Sequential {
 		schedulers = append([]string{Sequential}, schedulers...)
 	}
-	tables := s.Tables
+	tables = s.Tables
 	if len(tables) == 0 {
 		tables = []string{TableDefault}
 	}
-	topologies := s.Topologies
+	topologies = s.Topologies
 	if len(topologies) == 0 {
 		topologies = []string{cache.Shared().String()}
 	}
-	wantCores := func(c int) bool {
-		return len(s.Cores) == 0 || slices.Contains(s.Cores, c)
+	return schedulers, tables, topologies
+}
+
+// tableCores returns the configurations of a table that the Cores filter
+// selects, in table order; selecting none is an error.
+func (s Spec) tableCores(table string) ([]config.CMP, error) {
+	cfgs, err := tableConfigs(table)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	var out []Point
-	for _, wl := range s.Workloads {
-		for _, table := range tables {
-			cfgs, err := tableConfigs(table)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: %w", err)
-			}
-			matched := false
-			for _, topo := range topologies {
-				for _, base := range cfgs {
-					if !wantCores(base.Cores) {
-						continue
-					}
-					matched = true
-					for _, sc := range schedulers {
-						out = append(out, Point{Workload: wl, Scheduler: sc, Table: table, Topology: topo, Cores: base.Cores})
-					}
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("sweep: no %s configuration matches cores %v", table, s.Cores)
-			}
+	if len(s.Cores) > 0 {
+		cfgs = slices.DeleteFunc(cfgs, func(c config.CMP) bool { return !slices.Contains(s.Cores, c.Cores) })
+	}
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sweep: no %s configuration matches cores %v", table, s.Cores)
+	}
+	return cfgs, nil
+}
+
+// NumJobs returns the number of jobs Jobs would expand the spec into,
+// computed from the axis lengths without building the list, so a service
+// can bound a request before paying for its expansion.  It returns Jobs'
+// error for a table or core filter that selects nothing, and saturates at
+// math.MaxInt rather than overflow.
+func (s Spec) NumJobs() (int, error) {
+	if len(s.Points) > 0 {
+		return len(s.Points), nil
+	}
+	schedulers, tables, topologies := s.axes()
+	perWorkload := 0
+	for _, table := range tables {
+		cfgs, err := s.tableCores(table)
+		if err != nil {
+			return 0, err
 		}
+		perWorkload = satAdd(perWorkload, satMul(satMul(len(topologies), len(cfgs)), len(schedulers)))
 	}
-	return out, nil
+	return satMul(len(s.Workloads), perWorkload), nil
+}
+
+// satMul and satAdd are non-negative int arithmetic saturating at
+// math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
 }
 
 // Jobs validates the spec and expands it into its job list, one job per

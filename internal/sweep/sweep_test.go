@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -228,6 +229,50 @@ func TestSpecExpansion(t *testing.T) {
 	unknown.Workloads = []string{"nope"}
 	if _, err := unknown.Jobs(); err == nil {
 		t.Errorf("unknown workload should fail")
+	}
+}
+
+// TestNumJobsMatchesExpansion pins NumJobs' arithmetic to the expansion it
+// stands in for, over grids (defaulted and explicit axes, the sequential
+// baseline, several tables and topologies, core filters with duplicates
+// and misses) and explicit point lists, and to Jobs' errors.
+func TestNumJobsMatchesExpansion(t *testing.T) {
+	specs := map[string]Spec{"testSpec": testSpec()}
+	add := func(name string, edit func(*Spec)) {
+		s := testSpec()
+		edit(&s)
+		specs[name] = s
+	}
+	add("defaults", func(s *Spec) { s.Schedulers, s.Cores, s.Sequential = nil, nil, false })
+	add("tables", func(s *Spec) { s.Tables, s.Cores = []string{TableDefault, Table45nm}, nil })
+	add("topologies", func(s *Spec) { s.Topologies = []string{"shared", "private", "clustered:2"} })
+	add("cores-filter", func(s *Spec) { s.Tables, s.Cores = []string{TableDefault, Table45nm}, []int{8, 8, 2, 3} })
+	add("repeats", func(s *Spec) {
+		s.Workloads, s.Schedulers = []string{"hashjoin", "hashjoin", "mergesort"}, []string{"pdf", "pdf", "ws:nearest"}
+	})
+	add("points", func(s *Spec) {
+		*s = Spec{Factory: testFactory, Quick: true, Points: []Point{
+			{Workload: "mergesort", Scheduler: "pdf", Cores: 2},
+			{Workload: "mergesort", Scheduler: Sequential, Cores: 2},
+			{Workload: "hashjoin", Scheduler: "ws", Table: Table45nm, Topology: "clustered:2", Cores: 8},
+		}}
+	})
+	for name, s := range specs {
+		jobs, err := s.Jobs()
+		if err != nil {
+			t.Fatalf("%s: Jobs: %v", name, err)
+		}
+		if n, err := s.NumJobs(); err != nil || n != len(jobs) {
+			t.Errorf("%s: NumJobs = %d, %v; Jobs expanded %d", name, n, err, len(jobs))
+		}
+	}
+	none := testSpec()
+	none.Cores = []int{7}
+	if _, err := none.NumJobs(); err == nil || !strings.Contains(err.Error(), "no default configuration") {
+		t.Errorf("unmatched cores: NumJobs error %v", err)
+	}
+	if satMul(math.MaxInt/2, 3) != math.MaxInt || satAdd(math.MaxInt-1, 2) != math.MaxInt || satMul(0, math.MaxInt) != 0 {
+		t.Errorf("NumJobs arithmetic does not saturate")
 	}
 }
 

@@ -159,9 +159,19 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		err = req.Validate()
 	}
+	var n int
+	if err == nil {
+		n, err = req.NumJobs()
+	}
 	if err != nil {
 		h.logf("sweepd: reject: %v", err)
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// A few kilobytes of request can name millions of jobs: bound the count
+	// before paying for the expansion.
+	if err := h.svc.checkJobCount(n); err != nil {
+		h.reject(w, err)
 		return
 	}
 	jobs, err := h.Expand(req)

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -449,4 +451,40 @@ func TestHTTPBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want 400 (%s)", name, resp.StatusCode, b)
 		}
 	}
+}
+
+// TestOversizedGridRejectedBeforeExpansion: a body of about 5 KB naming 300
+// workloads by 300 schedulers is a grid of 540,000 jobs over the default
+// table's core counts.  The handler must reject it as over the per-sweep
+// limit from the axis lengths alone, allocating under 1 MB, instead of
+// expanding every job first.
+func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
+	svc := NewService(Options{Workers: 1})
+	defer svc.Drain(context.Background())
+	h := NewHandler(svc)
+	spec := Request{
+		Workloads:  slices.Repeat([]string{"mergesort"}, 300),
+		Schedulers: slices.Repeat([]string{"pdf"}, 300),
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := spec.NumJobs(); err != nil || n != 540000 {
+		t.Fatalf("NumJobs = %d, %v; want 540000", n, err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/sweeps", bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds the per-sweep limit") {
+		t.Fatalf("%d-byte request: status %d %q, want a 400 per-sweep limit rejection", len(body), rec.Code, rec.Body.String())
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte request allocated %d bytes, want under 1 MB", len(body), alloc)
+	}
+	t.Logf("rejected a %d-byte request after allocating %d bytes", len(body), alloc)
 }

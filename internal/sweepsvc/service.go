@@ -346,6 +346,16 @@ func (s *Service) updateGauges() {
 	s.sm.activeSweeps.Set(int64(len(s.sweeps)))
 }
 
+// checkJobCount rejects, with a LimitError, a sweep of n jobs over the
+// per-sweep limit.
+func (s *Service) checkJobCount(n int) error {
+	if n > s.opts.MaxJobsPerSweep {
+		s.sm.sweepsRejected.Add(1)
+		return &LimitError{Reason: fmt.Sprintf("%d jobs exceeds the per-sweep limit of %d", n, s.opts.MaxJobsPerSweep)}
+	}
+	return nil
+}
+
 // Submit admits a job list as one sweep, deduplicating each job against
 // every queued or running job service-wide: a duplicated key subscribes to
 // the existing flight instead of consuming queue capacity, so overlapping
@@ -365,9 +375,8 @@ func (s *Service) Submit(jobs []sweep.Job) (*Sweep, error) {
 		s.sm.sweepsRejected.Add(1)
 		return nil, ErrDraining
 	}
-	if len(jobs) > s.opts.MaxJobsPerSweep {
-		s.sm.sweepsRejected.Add(1)
-		return nil, &LimitError{Reason: fmt.Sprintf("%d jobs exceeds the per-sweep limit of %d", len(jobs), s.opts.MaxJobsPerSweep)}
+	if err := s.checkJobCount(len(jobs)); err != nil {
+		return nil, err
 	}
 	if len(s.sweeps) >= s.opts.MaxSweeps {
 		s.sm.sweepsRejected.Add(1)

@@ -52,6 +52,10 @@ func (r *Request) Validate() error { return r.spec().Validate() }
 // entries.
 func (r *Request) Jobs() ([]sweep.Job, error) { return r.spec().Jobs() }
 
+// NumJobs returns the number of jobs Jobs would expand the request into,
+// without expanding it (sweep.Spec.NumJobs).
+func (r *Request) NumJobs() (int, error) { return sweep.Spec(*r).NumJobs() }
+
 // spec returns the request as a sweep.Spec with the experiments factory
 // plugged in (unless the caller set one).
 func (r *Request) spec() sweep.Spec {
