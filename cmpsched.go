@@ -310,7 +310,9 @@ func DefaultConfigs() []CMPConfig { return config.Defaults() }
 // SingleTech45Configs returns every Table 3 configuration.
 func SingleTech45Configs() []CMPConfig { return config.SingleTech45All() }
 
-// Run simulates the DAG on the configuration under the scheduler.
+// Run simulates the DAG on the configuration under the scheduler.  A run
+// never modifies the DAG (it records it on first use, see dag.Record), so
+// any number of runs may share one DAG, concurrently too.
 func Run(d *DAG, s Scheduler, cfg CMPConfig) (*SimResult, error) {
 	return cmpsim.Run(d, s, cfg)
 }

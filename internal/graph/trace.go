@@ -176,10 +176,9 @@ func (t *trace) span(addr uint64, bytes int64, write bool, instrsPerLine int64) 
 // instructions (plus any pending ones) after the final reference.  With an
 // interning store (the default) the result is a refs.Recorded whose arena is
 // shared by every identical task stream of the build; without one it is a
-// refs.Points over the accumulated slice.  Either way the generator serves
-// the simulator's batched reader (refs.Bulk) and zero-copy slice path
-// (refs.Sliced) natively, and its instruction total is computed once at
-// construction.
+// refs.Points over the accumulated slice.  Either way recording the DAG
+// adopts or copies the slice without regenerating anything, and the
+// instruction total is computed once at construction.
 func (t *trace) gen(tail int64) refs.Gen {
 	if t.store != nil {
 		return t.store.InternRefs(t.refs, tail+t.pending)

@@ -1,6 +1,7 @@
 package refs
 
 import (
+	"slices"
 	"sync"
 
 	"cmpsched/internal/prng"
@@ -79,22 +80,20 @@ func drainTail(g Gen) ([]Ref, int64) {
 // Instrs totals.
 func Record(g Gen) *Recorded {
 	rs, tail := drainTail(g)
-	return newRecorded(rs, tail)
+	return newRecorded(rs, tail, FingerprintRefs(rs, tail))
 }
 
-func newRecorded(rs []Ref, tail int64) *Recorded {
+// newRecorded wraps rs, whose fingerprint with tail is fp.
+func newRecorded(rs []Ref, tail int64, fp uint64) *Recorded {
 	var sum int64
 	for i := range rs {
 		sum += rs[i].Instrs
 	}
-	return &Recorded{refs: rs, tail: tail, instrs: sum + tail, fp: FingerprintRefs(rs, tail)}
+	return &Recorded{refs: rs, tail: tail, instrs: sum + tail, fp: fp}
 }
 
 // Fingerprint returns the stream's canonical content fingerprint.
 func (r *Recorded) Fingerprint() uint64 { return r.fp }
-
-// Tail returns the number of instructions retired after the final reference.
-func (r *Recorded) Tail() int64 { return r.tail }
 
 // Refs returns the whole recorded stream, independent of the cursor.  The
 // slice is the shared arena: callers must treat it as read-only.
@@ -166,7 +165,26 @@ func NewTraceStore() *TraceStore {
 // identical streams share it.  rs is not retained — callers may reuse the
 // backing slice.
 func (s *TraceStore) InternRefs(rs []Ref, tail int64) *Recorded {
-	fp := FingerprintRefs(rs, tail)
+	return s.intern(rs, tail, FingerprintRefs(rs, tail), true)
+}
+
+// Intern drains g (resetting it before and after) and interns its stream,
+// returning a Recorded cursor that drains identically to g.  A Recorded
+// input skips the drain and interns its arena directly.
+func (s *TraceStore) Intern(g Gen) *Recorded {
+	if r, ok := g.(*Recorded); ok {
+		return s.intern(r.refs, r.tail, r.fp, false)
+	}
+	// The drained slice belongs to this call alone, so a new stream keeps
+	// it as its arena without a copy.
+	rs, tail := drainTail(g)
+	return s.intern(rs, tail, FingerprintRefs(rs, tail), false)
+}
+
+// intern returns a cursor over the store's arena for the stream (rs, tail)
+// with fingerprint fp, first adding rs as a new arena — a copy of it when
+// copyArena — if no identical stream is stored.
+func (s *TraceStore) intern(rs []Ref, tail int64, fp uint64, copyArena bool) *Recorded {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Interned++
@@ -175,41 +193,13 @@ func (s *TraceStore) InternRefs(rs []Ref, tail int64) *Recorded {
 			return t.Clone()
 		}
 	}
-	arena := make([]Ref, len(rs))
-	copy(arena, rs)
-	t := newRecorded(arena, tail)
+	if copyArena {
+		rs = slices.Clone(rs)
+	}
+	t := newRecorded(rs, tail, fp)
 	s.byFP[fp] = append(s.byFP[fp], t)
 	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(arena)) * refBytes
-	return t.Clone()
-}
-
-// Intern drains g (resetting it before and after) and interns its stream,
-// returning a Recorded cursor that drains identically to g.  A Recorded
-// input skips the drain and interns its arena directly.
-func (s *TraceStore) Intern(g Gen) *Recorded {
-	if r, ok := g.(*Recorded); ok {
-		return s.internRecorded(r)
-	}
-	rs, tail := drainTail(g)
-	return s.InternRefs(rs, tail)
-}
-
-// internRecorded interns an already-materialized stream without copying when
-// its arena is new to the store.
-func (s *TraceStore) internRecorded(r *Recorded) *Recorded {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Interned++
-	for _, t := range s.byFP[r.fp] {
-		if t.tail == r.tail && sameRefs(t.refs, r.refs) {
-			return t.Clone()
-		}
-	}
-	t := &Recorded{refs: r.refs, tail: r.tail, instrs: r.instrs, fp: r.fp}
-	s.byFP[r.fp] = append(s.byFP[r.fp], t)
-	s.stats.Unique++
-	s.stats.ArenaBytes += int64(len(t.refs)) * refBytes
+	s.stats.ArenaBytes += int64(len(rs)) * refBytes
 	return t.Clone()
 }
 

@@ -50,10 +50,9 @@ type Gen interface {
 	NextBlock(buf []Ref) int
 }
 
-// Sliced is an optional extension of Gen for generators whose remaining
-// stream is already resident in memory (Points, Recorded).  NextSlice hands
-// out the backing storage itself, so a consumer replays the whole stream
-// without a single copy.
+// Sliced is an optional extension of Gen for a stream that is already
+// resident in memory (Recorded).  NextSlice hands out the backing storage
+// itself, so a consumer replays the whole stream without a single copy.
 //
 // NextSlice shares the stream position with NextBlock: it returns
 // everything not yet consumed and advances the position to the end, so an
@@ -71,15 +70,11 @@ type Sliced interface {
 // inside the host L1.
 const BlockSize = 64
 
-// ReadBlock fills buf from g; it is g.NextBlock(buf), kept for callers
-// written against the older two-path interface.
+// ReadBlock fills buf from g.  It is g.NextBlock(buf), kept as a function
+// for the perfbench harness's replay.
 func ReadBlock(g Gen, buf []Ref) int { return g.NextBlock(buf) }
 
-// Resident generators serve the zero-copy slice path.
-var (
-	_ Sliced = (*Points)(nil)
-	_ Sliced = (*Recorded)(nil)
-)
+var _ Sliced = (*Recorded)(nil)
 
 // intn returns a uniform value in [0, n) drawn from r. n must be > 0.
 func intn(r *prng.SplitMix64, n uint64) uint64 {
@@ -188,14 +183,6 @@ func (p *Points) NextBlock(buf []Ref) int {
 	n := copy(buf, p.Refs[p.pos:])
 	p.pos += n
 	return n
-}
-
-// NextSlice implements Sliced, handing out the remainder of Refs directly.
-// Callers must treat the slice as read-only.
-func (p *Points) NextSlice() []Ref {
-	out := p.Refs[p.pos:]
-	p.pos = len(p.Refs)
-	return out
 }
 
 // Scan walks a contiguous region sequentially, touching one address per
@@ -452,38 +439,10 @@ func (c *Concat) NextBlock(buf []Ref) int {
 // Interleave alternates references from two generators (a, b, a, b, ...)
 // until both are exhausted.  It models loops that touch two structures per
 // iteration, such as a probe that reads an input record and then a hash
-// bucket.  Each side is read ahead a block at a time, so A and B must be
-// distinct generators that nothing else drains.
+// bucket.
 type Interleave struct {
 	A, B Gen
 	turn int
-	// ahead buffers each side's next block, so the per-reference
-	// alternation costs no dispatch into A or B.
-	ahead [2]lookahead
-}
-
-// lookahead is one side of an Interleave: a block read from the side's
-// generator and the position of its next unconsumed reference.
-type lookahead struct {
-	buf    []Ref // allocated on first use, at most BlockSize long
-	pos, n int
-}
-
-// next returns the side's next reference, refilling from g when the
-// buffered block is used up; ok is false once g is exhausted.
-func (l *lookahead) next(g Gen) (r Ref, ok bool) {
-	if l.pos == l.n {
-		if l.buf == nil {
-			l.buf = make([]Ref, max(1, min(BlockSize, g.Len())))
-		}
-		l.n, l.pos = g.NextBlock(l.buf), 0
-		if l.n == 0 {
-			return Ref{}, false
-		}
-	}
-	r = l.buf[l.pos]
-	l.pos++
-	return r, true
 }
 
 // NewInterleave returns an interleaving of a and b.
@@ -498,29 +457,22 @@ func (i *Interleave) Instrs() int64 { return i.A.Instrs() + i.B.Instrs() }
 // Reset implements Gen.
 func (i *Interleave) Reset() {
 	i.turn = 0
-	for s := range i.ahead {
-		i.ahead[s].pos, i.ahead[s].n = 0, 0
-	}
 	i.A.Reset()
 	i.B.Reset()
 }
 
-// NextBlock implements Gen.  Each output reference comes from the side
-// whose turn it is, or from the other side once that one is exhausted; the
-// turn flips on every reference either way.
+// NextBlock implements Gen.  Each reference comes from the side whose turn
+// it is, or from the other side once that one is exhausted; the turn flips
+// on every reference either way.
 func (i *Interleave) NextBlock(buf []Ref) int {
 	gens := [2]Gen{i.A, i.B}
 	n := 0
 	for n < len(buf) {
 		first := i.turn
 		i.turn = 1 - first
-		r, ok := i.ahead[first].next(gens[first])
-		if !ok {
-			if r, ok = i.ahead[1-first].next(gens[1-first]); !ok {
-				break
-			}
+		if gens[first].NextBlock(buf[n:n+1]) == 0 && gens[1-first].NextBlock(buf[n:n+1]) == 0 {
+			break
 		}
-		buf[n] = r
 		n++
 	}
 	return n

@@ -244,10 +244,10 @@ func TestInterleave(t *testing.T) {
 	}
 }
 
-// TestInterleaveMatchesAlternation pins Interleave's read-ahead against a
-// reference alternation that takes one reference at a time from each side,
-// with sides longer than a block and of unequal lengths, nested, at every
-// output block size, and across a Reset taken mid-stream.
+// TestInterleaveMatchesAlternation pins Interleave against a reference
+// alternation of the two sides' drained streams, with sides longer than a
+// block and of unequal lengths, nested, at every output block size, and
+// across a Reset taken mid-stream.
 func TestInterleaveMatchesAlternation(t *testing.T) {
 	sideA := func() Gen {
 		return &Random{Base: 1 << 22, Bytes: 1 << 14, LineBytes: 64, Count: 150, Seed: 5, InstrsPerRef: 1}
