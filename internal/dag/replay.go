@@ -2,10 +2,10 @@ package dag
 
 import "cmpsched/internal/refs"
 
-// Snapshot is a recorded DAG.  It exists so callers written against the
-// earlier template-and-instance API (the perfbench harness) keep building:
-// a recorded DAG is immutable and shared directly, so the template and its
-// instances are one and the same value.
+// Snapshot is a recorded DAG.  The name exists for the perfbench harness,
+// which records each template into a *Snapshot and instantiates it per run;
+// a recorded DAG is shared directly, so template and instance are the same
+// value.
 type Snapshot = DAG
 
 // Record freezes d: every task's reference stream is drained into store
