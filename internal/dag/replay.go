@@ -3,9 +3,7 @@ package dag
 import "cmpsched/internal/refs"
 
 // Snapshot is a recorded DAG.  The name exists for the perfbench harness,
-// which records each template into a *Snapshot and instantiates it per run;
-// a recorded DAG is shared directly, so template and instance are the same
-// value.
+// which records each template into a *Snapshot and instantiates it per run.
 type Snapshot = DAG
 
 // Record freezes d: every task's reference stream is drained into store
@@ -34,9 +32,28 @@ func Record(d *DAG, store *refs.TraceStore) *DAG {
 	return d
 }
 
-// Instantiate returns the receiver.  Like Snapshot it exists for the
-// perfbench harness: a recorded DAG needs no per-run copy.
-func (d *DAG) Instantiate() *DAG { return d }
+// Instantiate records d if it is not yet recorded and returns an instance
+// for callers that drain Task.Refs through the cursor API, as perfbench's
+// replay does: new task structs whose Refs are rewound clones of d's
+// recorded cursors over the same arenas.  Draining the instance, or calling
+// ResetRefs on it, leaves d's own cursors alone, so d stays read-only for
+// every other reader.  The instance is itself recorded.  Simulations and
+// profiles need no instance: they read TaskRefs and share d.
+func (d *DAG) Instantiate() *DAG {
+	Record(d, nil)
+	tasks := make([]Task, len(d.tasks))
+	ptrs := make([]*Task, len(d.tasks))
+	for i, t := range d.tasks {
+		tasks[i] = *t
+		if r, ok := t.Refs.(*refs.Recorded); ok {
+			tasks[i].Refs = r.Clone()
+		}
+		ptrs[i] = &tasks[i]
+	}
+	inst := &DAG{Name: d.Name, tasks: ptrs, metrics: d.metrics}
+	inst.once.Do(func() { inst.frozen.Store(true) })
+	return inst
+}
 
 // TaskRefs returns task id's reference stream as a read-only slice of its
 // recorded arena (nil for a task without references), recording d into a

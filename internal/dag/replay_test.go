@@ -31,7 +31,7 @@ func buildReplayFixture(t *testing.T) *DAG {
 // TestSnapshotInstantiateEquivalence pins that recording changes nothing a
 // run can observe: structure, totals, metrics, and every task's reference
 // stream, read through TaskRefs and through the Task.Refs cursor alike.
-// Recording is in place, and Instantiate hands back the recorded DAG itself.
+// Recording is in place: Record returns the DAG itself.
 func TestSnapshotInstantiateEquivalence(t *testing.T) {
 	src := buildReplayFixture(t)
 	wantStreams := make([][]refs.Ref, src.NumTasks())
@@ -43,8 +43,8 @@ func TestSnapshotInstantiateEquivalence(t *testing.T) {
 	instrs, totalRefs := src.TotalInstrs(), src.TotalRefs()
 
 	snap := Record(src, nil)
-	if snap != src || snap.Instantiate() != src {
-		t.Fatalf("Record and Instantiate must return the DAG itself")
+	if snap != src {
+		t.Fatalf("Record must return the DAG itself")
 	}
 	if err := src.Validate(); err != nil {
 		t.Fatalf("recorded DAG invalid: %v", err)
@@ -74,6 +74,45 @@ func TestSnapshotInstantiateEquivalence(t *testing.T) {
 	if sa, sb := src.TaskRefs(1), src.TaskRefs(2); len(sa) == 0 || &sa[0] != &sb[0] {
 		t.Fatalf("identical tasks do not share an arena")
 	}
+}
+
+// TestSnapshotInstancesAreIndependent pins that an instance drains through
+// its own cursors over the recorded arenas: draining one, or calling
+// ResetRefs on it, moves neither a sibling's cursors nor the recorded DAG's.
+func TestSnapshotInstancesAreIndependent(t *testing.T) {
+	src := Record(buildReplayFixture(t), nil)
+	i1, i2 := src.Instantiate(), src.Instantiate()
+	if i1 == src || i1 == i2 || i1.NumTasks() != src.NumTasks() || i1.Metrics()["m"] != 7 {
+		t.Fatalf("Instantiate did not return separate instances of the DAG")
+	}
+	for i, task := range i1.Tasks() {
+		want := src.TaskRefs(TaskID(i))
+		if len(want) == 0 {
+			continue
+		}
+		if got := task.Refs.(refs.Sliced).NextSlice(); !slices.Equal(got, want) {
+			t.Fatalf("task %d: instance drains %d refs, want %d", i, len(got), len(want))
+		}
+		if got := i1.TaskRefs(TaskID(i)); &got[0] != &want[0] {
+			t.Fatalf("task %d: instance does not share the recorded arena", i)
+		}
+		// i1 is drained; the sibling's and src's cursors are still at the start.
+		for _, d := range []*DAG{i2, src} {
+			if got := d.Task(TaskID(i)).Refs.(refs.Sliced).NextSlice(); len(got) != len(want) {
+				t.Fatalf("task %d: draining an instance moved another DAG's cursor", i)
+			}
+		}
+	}
+	i1.ResetRefs()
+	if n := src.Task(1).Refs.NextBlock(make([]refs.Ref, 1)); n != 0 {
+		t.Fatalf("ResetRefs on an instance rewound the recorded cursor")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("AddTask on an instance did not panic")
+		}
+	}()
+	i1.AddTask("x", refs.Compute{N: 1})
 }
 
 // TestRecordIntoSharedStore pins cross-DAG sharing: recording two builds of
