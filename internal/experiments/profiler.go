@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"cmpsched/internal/dag"
 	"cmpsched/internal/profile"
 	"cmpsched/internal/stats"
 	"cmpsched/internal/workload"
@@ -57,6 +58,9 @@ func ProfilerComparison(opts Options) (*ProfilerComparisonResult, error) {
 	}
 	cfg := profile.Config{LineBytes: 128, CacheSizes: []int64{8 << 10, 32 << 10, 128 << 10, 512 << 10, 2 << 20}}
 
+	// Record before timing, so both profilers read the same recorded
+	// streams and neither pays for draining the generators.
+	dag.Record(d, nil)
 	start := time.Now()
 	pr, err := profile.NewLruTree(cfg).ProfileDAG(d)
 	if err != nil {
