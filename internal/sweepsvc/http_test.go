@@ -456,12 +456,15 @@ func TestHTTPBadRequests(t *testing.T) {
 // TestOversizedGridRejectedBeforeExpansion: a body of about 5 KB naming 300
 // workloads by 300 schedulers is a grid of 540,000 jobs over the default
 // table's core counts.  The handler must reject it as over the per-sweep
-// limit from the axis lengths alone, allocating under 1 MB, instead of
-// expanding every job first.
+// limit from the axis lengths alone, without expanding any job.
 func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
 	svc := NewService(Options{Workers: 1})
 	defer svc.Drain(context.Background())
 	h := NewHandler(svc)
+	h.Expand = func(*Request) ([]sweep.Job, error) {
+		t.Fatalf("the handler expanded an over-limit request")
+		return nil, nil
+	}
 	spec := Request{
 		Workloads:  slices.Repeat([]string{"mergesort"}, 300),
 		Schedulers: slices.Repeat([]string{"pdf"}, 300),
@@ -482,9 +485,7 @@ func TestOversizedGridRejectedBeforeExpansion(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds the per-sweep limit") {
 		t.Fatalf("%d-byte request: status %d %q, want a 400 per-sweep limit rejection", len(body), rec.Code, rec.Body.String())
 	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	if alloc >= 1<<20 {
-		t.Fatalf("rejecting a %d-byte request allocated %d bytes, want under 1 MB", len(body), alloc)
-	}
-	t.Logf("rejected a %d-byte request after allocating %d bytes", len(body), alloc)
+	// Process-wide, so other goroutines' allocations count too: a log
+	// line, not a bound.
+	t.Logf("rejected a %d-byte request; process allocated %d bytes meanwhile", len(body), after.TotalAlloc-before.TotalAlloc)
 }
