@@ -258,6 +258,12 @@ func (o Options) graphSchedulerJobs(kernel, family string, cfg config.CMP) ([]sw
 // run executes the jobs on the sweep engine configured by the options and
 // returns the results in job order.
 func (o Options) run(jobs []sweep.Job) ([]sweep.Result, error) {
+	return runJobs(o, jobs)
+}
+
+// runJobs is the one place every figure's job list reaches the sweep engine;
+// tests replace it to capture the lists without simulating them.
+var runJobs = func(o Options, jobs []sweep.Job) ([]sweep.Result, error) {
 	return sweep.NewEngine(sweep.EngineOptions{Workers: o.Workers, Cache: o.Cache}).Run(jobs)
 }
 

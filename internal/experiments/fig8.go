@@ -124,10 +124,14 @@ func Figure8(opts Options) (*Figure8Result, error) {
 		// The previous/actual schemes are plain mergesort runs keyed only
 		// by their configs — the scheme is presentation metadata, not a
 		// simulation input — so a shared cache reuses them across figures
-		// (Figure 2 runs the identical "previous" simulation).
+		// (Figure 2 runs the identical "previous" simulation).  The dag
+		// scheme's params carry the whole selection its build collapses,
+		// not just the threshold: the engine shares one template among
+		// every core count with equal params, and two configurations can
+		// report one threshold yet select different groups.
 		g.add(point{cores, threshold},
 			sweep.NewJob("mergesort", fmt.Sprintf("%+v", prevCfg), "pdf", cfg, prevBuild),
-			sweep.NewJob("mergesort/coarsened", fmt.Sprintf("fine=%+v threshold=%d", fineCfg, threshold), "pdf", cfg, dagBuild),
+			sweep.NewJob("mergesort/coarsened", fmt.Sprintf("fine=%+v sequential=%v", fineCfg, sel.Sequential), "pdf", cfg, dagBuild),
 			sweep.NewJob("mergesort", fmt.Sprintf("%+v", actualCfg), "pdf", cfg, actualBuild),
 		)
 	}

@@ -30,7 +30,7 @@ func TestRunJobRecoversPanic(t *testing.T) {
 		panic("workload bug")
 	})
 	_, err := NewEngine(EngineOptions{Workers: 1}).Run([]Job{j})
-	if err == nil || !strings.Contains(err.Error(), "job panicked: workload bug") {
+	if err == nil || !strings.Contains(err.Error(), "build: panicked: workload bug") {
 		t.Fatalf("err = %v, want the recovered panic", err)
 	}
 
@@ -42,11 +42,47 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 	good := NewJob("mergesort", params, "pdf", cfg, build)
 	results, err := NewEngine(EngineOptions{Workers: 2}).Run([]Job{good, j})
-	if err == nil || !strings.Contains(err.Error(), "job panicked") {
+	if err == nil || !strings.Contains(err.Error(), "build: panicked: workload bug") {
 		t.Fatalf("pool err = %v, want the recovered panic", err)
 	}
 	if results[0].Sim == nil {
 		t.Fatal("healthy job's result was lost to the panicking one")
+	}
+}
+
+// TestFailedBuildFailsEveryJobOfTheTemplate: a template build that panics
+// or returns a nil DAG must fail every job sharing the template with the
+// same build error — not the first job with the panic and the rest with a
+// nil-pointer dereference on an empty template.
+func TestFailedBuildFailsEveryJobOfTheTemplate(t *testing.T) {
+	cfg := hardeningCfg(t)
+	for _, tc := range []struct {
+		name  string
+		build BuildFunc
+		want  string
+	}{
+		{"panic", func() (*dag.DAG, error) { panic("boom") }, "build: panicked: boom"},
+		{"nil DAG", func() (*dag.DAG, error) { return nil, nil }, "build: returned a nil DAG"},
+	} {
+		e := NewEngine(EngineOptions{Workers: 1})
+		// Two schedulers and two machines, one (workload, params) template.
+		jobs := []Job{
+			NewJob("bad", "p", "pdf", cfg, tc.build),
+			NewJob("bad", "p", "ws", cfg, tc.build),
+			NewJob("bad", "p", "pdf", cfg.WithL2HitLatency(19), tc.build),
+		}
+		var first string
+		for i, j := range jobs {
+			_, err := e.runJob(j)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+				t.Fatalf("%s: job %d: err = %v, want %q", tc.name, i, err, tc.want)
+			}
+			if i == 0 {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("%s: job %d reports %q, job 0 reported %q", tc.name, i, err, first)
+			}
+		}
 	}
 }
 

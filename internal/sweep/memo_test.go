@@ -88,13 +88,25 @@ func TestSharedTraceStoreByteIdentical(t *testing.T) {
 }
 
 // TestMemoizedBuildRunsOncePerTemplate pins the single-flight contract: the
-// engine calls Build once per (workload, params, config) triple no matter
-// how many schedulers fan out from it or how many workers race, and every
-// job of the triple simulates the very DAG that one Build returned.
+// engine calls Build once per (workload, params) pair no matter how many
+// schedulers, core counts and topologies fan out from it or how many
+// workers race, and every job of the pair simulates the very DAG that one
+// Build returned.
 func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
-	jobs, err := testSpec().Jobs()
+	spec := testSpec()
+	spec.Topologies = []string{"shared", "private"}
+	jobs, err := spec.Jobs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	pairs := make(map[string]bool)
+	configs := make(map[string]bool)
+	for _, j := range jobs {
+		pairs[j.Key.Workload+"\x00"+j.Key.Params] = true
+		configs[j.Key.Config] = true
+	}
+	if len(spec.Cores) < 2 || len(configs) < 4 || len(pairs) >= len(configs) {
+		t.Fatalf("grid spans %d configurations and %d (workload, params) pairs; want several machines per pair", len(configs), len(pairs))
 	}
 	var mu sync.Mutex
 	built := make(map[string][]*dag.DAG)     // template -> DAGs Build returned
@@ -121,8 +133,8 @@ func TestMemoizedBuildRunsOncePerTemplate(t *testing.T) {
 	if _, err := e.Run(jobs); err != nil {
 		t.Fatal(err)
 	}
-	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(built)) {
-		t.Fatalf("builds = %d, want one per template = %d", builds, len(built))
+	if builds := reg.ShardedCounter("sweep.dag_builds", 1).Value(); builds != int64(len(pairs)) || len(built) != len(pairs) {
+		t.Fatalf("builds = %d over %d templates, want one per (workload, params) = %d", builds, len(built), len(pairs))
 	}
 	runs := 0
 	for key, ds := range simulated {

@@ -10,16 +10,15 @@
 // The experiment harness (internal/experiments) expresses every figure as a
 // job list executed here, cmd/sweep exposes arbitrary sweeps on the command
 // line, and tests exploit the determinism guarantee: the results of a sweep
-// are identical regardless of the worker count, because each job simulates a
-// private DAG instance (reference generators are stateful, so replay cursors
-// are never shared between concurrent simulations) and the simulator itself
-// is deterministic.
+// are identical regardless of the worker count, because every run reads an
+// immutable recorded DAG, keeps its stream positions in its own state, and
+// the simulator itself is deterministic.
 //
-// Jobs that share a (workload, parameters, machine configuration) triple —
-// the common shape: one job per scheduler over the same build — share one
+// Jobs that share a (workload, parameters) pair — the common shape: one job
+// per scheduler and machine configuration over the same build — share one
 // memoised DAG template recorded into a content-addressed trace store; see
 // memo.go.  Sharing is driven entirely by job keys, so it needs no opt-in
-// and cannot change results: instances replay the recorded streams
+// and cannot change results: runs replay the recorded streams
 // bit-identically to a fresh build.
 package sweep
 
@@ -55,7 +54,10 @@ type Key struct {
 	// "mergesort/coarsened").
 	Workload string `json:"workload"`
 	// Params is a canonical fingerprint of the workload's build
-	// parameters (typically fmt.Sprintf("%+v", cfgStruct)).
+	// parameters (typically fmt.Sprintf("%+v", cfgStruct)).  It must
+	// cover everything the build reads, including whatever it takes from
+	// the machine configuration: the engine shares one DAG among all jobs
+	// with equal Workload and Params (see BuildFunc).
 	Params string `json:"params"`
 	// Scheduler is a canonical scheduler-registry name ("pdf", "ws",
 	// "fifo", "sb", "ws:nearest", ...) or Sequential.  Parameterised
@@ -88,13 +90,15 @@ func (k Key) String() string {
 // and must not return a DAG that shares reference generators with any other
 // live DAG.
 //
-// Builds must be pure functions of the job key's Workload, Params and Config
-// fields: the engine memoises the built DAG per (Workload, Params, Config)
-// triple and serves later jobs of the triple from the recording (see
-// memo.go), so two jobs with equal triples MUST build equivalent DAGs, and
-// at most one of their Build functions will actually run per sweep engine.
-// Every standard constructor (NewJob callers fingerprinting their config
-// structs into Params) satisfies this by construction.
+// Builds must be pure functions of the job key's Workload and Params fields
+// alone: the engine memoises the built DAG per (Workload, Params) pair and
+// serves every later job of the pair from the recording, whatever its
+// machine configuration (see memo.go).  Two jobs with equal pairs MUST build
+// equivalent DAGs, and at most one of their Build functions will actually
+// run per sweep engine.  A builder that shapes its DAG to the machine must
+// therefore fold what it uses of the configuration into Params.  Every
+// standard constructor (NewJob callers fingerprinting their config structs
+// into Params) satisfies this by construction.
 type BuildFunc func() (*dag.DAG, error)
 
 // DeriveFunc computes named scalar metrics from a finished run while the
@@ -128,7 +132,9 @@ type Job struct {
 // NewJob builds a Job whose key is derived canonically from the inputs.
 // params is the canonical fingerprint of the workload's build parameters —
 // conventionally fmt.Sprintf("%+v", cfgStruct) over a pointer-free config
-// struct, so equal parameters always produce equal fingerprints.
+// struct, so equal parameters always produce equal fingerprints.  It must
+// cover everything build reads, cfg included: jobs with equal workload and
+// params share one DAG across every configuration (see BuildFunc).
 func NewJob(workload, params, scheduler string, cfg config.CMP, build BuildFunc) Job {
 	return Job{
 		Key: Key{
@@ -187,7 +193,7 @@ type Engine struct {
 	jobTimeout time.Duration
 	em         engineMetrics
 
-	// templates memoises recorded DAGs by (workload, params, config); the
+	// templates memoises recorded DAGs by (workload, params); the
 	// recorded reference streams live in traces, one shared read-only store
 	// for the whole engine.  See memo.go.
 	templateMu sync.Mutex
@@ -405,10 +411,11 @@ feed:
 
 // runJob executes (or recalls) a single job.
 //
-// A panic anywhere in the job — a buggy workload builder, a scheduler edge
-// case, a derivation indexing past its stats — is recovered into the job's
-// error, so one bad job fails one row instead of killing the process (and,
-// under sweepsvc, the whole daemon).
+// A panic anywhere in the job — a scheduler edge case, a derivation indexing
+// past its stats — is recovered into the job's error, so one bad job fails
+// one row instead of killing the process (and, under sweepsvc, the whole
+// daemon).  A panicking workload builder is recovered where the template is
+// built (memo.go), so every job of the template fails alike.
 func (e *Engine) runJob(j Job) (res Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
